@@ -27,6 +27,8 @@ from .harness import (
 )
 from .policy import active_pixel_fraction
 
+_PARALLEL_HELP = "compute every period's guide events on a 2-worker thread pool first (identical output)"
+
 
 def _add_sweep_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--f-min", type=float, default=50.0, help="lowest scan frequency in Hz")
@@ -70,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--periods", type=int, default=None, help="override the period count")
     sim.add_argument("--dump", nargs="+", choices=["events", "masks", "depth", "ply"], default=[],
                      help="artifact kinds to write per period")
-    sim.add_argument("--parallel", action="store_true",
-                     help="prefetch guide events on a worker thread (identical output)")
+    sim.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     for name, help_text in (
         ("sweep-delta-t", "dense dwell time per sensor preset over a frequency range"),
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--out-dir", type=Path, default=None)
     cmp_parser.add_argument("--seed", type=int, default=None)
     cmp_parser.add_argument("--periods", type=int, default=None)
-    cmp_parser.add_argument("--parallel", action="store_true")
+    cmp_parser.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     active = sub.add_parser("active-pixels", help="active-pixel fraction of an event stream file")
     active.add_argument("events", type=Path, help="event stream text file (t_us,x,y,p)")

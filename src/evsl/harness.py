@@ -5,8 +5,9 @@ policy, then steps through scan periods. Guide events observed during period
 p-1 choose the illumination mask for period p (the tightest causal choice);
 the first period falls back to a dense or sparse mask per the policy config.
 Everything downstream of the seed is deterministic, and all cross-stage
-handoff is by immutable value, so the optional prefetch thread produces
-byte-identical output to the single-threaded path.
+handoff is by immutable value. With ``parallel=True`` a 2-worker thread pool
+computes every period's guide events before the period loop starts; the
+output is byte-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ def run_scenario(
 
     ``dump`` may contain any of "events", "masks", "depth", "ply"; artifacts
     land in ``out_dir`` (which also receives periods.csv when set). With
-    ``parallel=True`` guide-event simulation runs in a prefetch thread while
-    the main thread reconstructs; outputs are identical either way.
-    ``guide_streams`` lets callers share precomputed guide events across runs
-    of the same scene.
+    ``parallel=True`` the guide events of every period are computed on a
+    2-worker thread pool before the period loop starts; outputs are identical
+    either way. ``guide_streams`` lets callers share precomputed guide events
+    across runs of the same scene; ``parallel`` is then unused.
     """
     dump = frozenset(dump)
     unknown = dump - {"events", "masks", "depth", "ply"}
@@ -199,16 +200,8 @@ def run_scenario(
     period_us = scenario.projector.period_us
     windows = [(p * period_us, (p + 1) * period_us) for p in range(scenario.periods)]
 
-    def _guide(p: int) -> EventStream:
-        return generate_guide_for(scenario, windows[p], p)
-
     if guide_streams is None:
-        if parallel:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(_guide, p) for p in range(scenario.periods)]
-                guide_streams = [f.result() for f in futures]
-        else:
-            guide_streams = [_guide(p) for p in range(scenario.periods)]
+        guide_streams = _guide_streams(scenario, windows, parallel)
     elif len(guide_streams) < scenario.periods:
         raise ValueError("guide_streams must cover every period")
 
@@ -285,6 +278,17 @@ def generate_guide_for(scenario: Scenario, window: tuple[float, float], period: 
     return generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + period)
 
 
+def _guide_streams(
+    scenario: Scenario, windows: Sequence[tuple[float, float]], parallel: bool
+) -> list[EventStream]:
+    """Guide events of every period window, on a 2-worker thread pool when ``parallel``."""
+    if not parallel:
+        return [generate_guide_for(scenario, w, p) for p, w in enumerate(windows)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(generate_guide_for, scenario, w, p) for p, w in enumerate(windows)]
+        return [f.result() for f in futures]
+
+
 def _mean(values: Iterable[float]) -> float | None:
     values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
@@ -310,7 +314,9 @@ def compare_sampling(
     The sparse stride mirrors the event-guided background stride so the two
     share a noise floor. Aggregates skip the first period (the event-guided
     policy has no guidance yet and runs its fallback there); a single-period
-    scenario aggregates that period as-is.
+    scenario aggregates that period as-is. The guide events are computed once
+    and shared by the three runs; ``parallel`` computes them as in
+    :func:`run_scenario`.
     """
     if isinstance(scenario.policy, EventGuidedPolicy):
         guided = scenario.policy
@@ -323,12 +329,12 @@ def compare_sampling(
     ]
     period_us = scenario.projector.period_us
     windows = [(p * period_us, (p + 1) * period_us) for p in range(scenario.periods)]
-    shared_guides = [generate_guide_for(scenario, w, p) for p, w in enumerate(windows)]
+    shared_guides = _guide_streams(scenario, windows, parallel)
 
     rows = []
     for name, policy in policies:
         variant = replace(scenario, policy=policy)
-        reports = run_scenario(variant, parallel=parallel, guide_streams=shared_guides)
+        reports = run_scenario(variant, guide_streams=shared_guides)
         steady = reports[1:] if len(reports) > 1 else reports
         mask_fraction = _mean(r.mask_fraction for r in steady)
         rows.append({

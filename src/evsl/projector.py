@@ -281,6 +281,9 @@ def simulate_reflection_events(
 
     t = plan.fire_t_us + noise.latency_us
     if noise.jitter_anchors:
+        # Modelling choice: sigma follows the period's mean firing rate, not the
+        # local burst rate inside an ROI, so a sparser mask means less jitter.
+        # Acceptance criterion 4's noise ordering across policies rests on it.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
             t = t + sigma * _keyed_normals(noise.seed, sequence, plan.k)

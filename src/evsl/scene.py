@@ -1,10 +1,17 @@
 """Synthetic scene engine and the guide event camera.
 
 Scenes are a textured background plane plus axis-aligned rectangles moving in
-a fronto-parallel plane. The guide camera renders the scene at a fixed
+a fronto-parallel plane. The guide camera samples the scene at a fixed
 internal rate, tracks a per-pixel reference log-intensity, and emits an event
 whenever the log intensity crosses a multiple of the contrast threshold,
 with the inter-frame crossing time recovered by linear interpolation.
+
+Only moving rectangles change the image, so at each internal step the camera
+re-tests just the pixels in the box spanning the old and new rectangle of each
+object that moved, plus the pixels that fired at the previous step (their
+reference moved by a multiple of the threshold, and the floating-point
+residual can still reach it). Every other pixel has the same intensity and
+reference as at a test that gave no event.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import DepthMap, EventStream
+
+_Box = tuple[int, int, int, int]  # (ya, yb, xa, xb), half-open pixel ranges
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,21 @@ class GuideCameraModel:
             raise ValueError("noise_rate_hz must be non-negative")
 
 
+def _object_box(obj: MovingObject, t_us: float, resolution: tuple[int, int]) -> _Box | None:
+    """Frame-clipped pixel box of ``obj`` at ``t_us``; None when off-frame."""
+    w, h = resolution
+    x0 = int(math.floor(obj.x0 + obj.velocity[0] * t_us + 0.5))
+    y0 = int(math.floor(obj.y0 + obj.velocity[1] * t_us + 0.5))
+    xa, xb = max(x0, 0), min(x0 + obj.width, w)
+    ya, yb = max(y0, 0), min(y0 + obj.height, h)
+    return (ya, yb, xa, xb) if xa < xb and ya < yb else None
+
+
+def _paint_order(script: SceneScript) -> list[MovingObject]:
+    """Objects farthest-first, so painting in this order leaves the nearest on top."""
+    return sorted(script.objects, key=lambda o: -o.depth_m)
+
+
 def render_scene(script: SceneScript, t_us: float) -> tuple[np.ndarray, DepthMap]:
     """Render per-pixel intensity and metric depth at scene time ``t_us``.
 
@@ -132,12 +156,10 @@ def render_scene(script: SceneScript, t_us: float) -> tuple[np.ndarray, DepthMap
     w, h = script.resolution
     intensity = script.background.intensity_image(script.resolution).copy()
     depth = np.full((h, w), script.background.depth_m)
-    for obj in sorted(script.objects, key=lambda o: -o.depth_m):
-        x0 = int(math.floor(obj.x0 + obj.velocity[0] * t_us + 0.5))
-        y0 = int(math.floor(obj.y0 + obj.velocity[1] * t_us + 0.5))
-        xa, xb = max(x0, 0), min(x0 + obj.width, w)
-        ya, yb = max(y0, 0), min(y0 + obj.height, h)
-        if xa < xb and ya < yb:
+    for obj in _paint_order(script):
+        box = _object_box(obj, t_us, script.resolution)
+        if box is not None:
+            ya, yb, xa, xb = box
             intensity[ya:yb, xa:xb] = obj.intensity
             depth[ya:yb, xa:xb] = obj.depth_m
     return intensity, DepthMap(script.resolution, depth, np.ones((h, w), dtype=bool))
@@ -153,6 +175,21 @@ def _render_times(t0: float, t1: float, step_us: float) -> np.ndarray:
     return times
 
 
+def _bounding_box(a: _Box | None, b: _Box | None) -> _Box | None:
+    """Smallest box holding both boxes; either may be None."""
+    if a is None or b is None:
+        return a if b is None else b
+    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+
+
+def _paint(image: np.ndarray, boxes: list[_Box | None], values: np.ndarray) -> None:
+    """Fill each box of ``image`` with its value, in order; None boxes are skipped."""
+    for box, value in zip(boxes, values):
+        if box is not None:
+            ya, yb, xa, xb = box
+            image[ya:yb, xa:xb] = value
+
+
 def generate_guide_events(
     script: SceneScript,
     camera: GuideCameraModel,
@@ -166,6 +203,16 @@ def generate_guide_events(
     change relative to the reference, then advances the reference by the
     emitted multiple of C. Event timestamps are placed where the linear
     intensity ramp crosses each successive threshold level.
+
+    The reference starts from the scene rendered at the interval start. At
+    each step only two kinds of pixel are re-tested: those inside the
+    bounding box of an object's clipped rectangle at the previous and the
+    current step, for every object whose rectangle changed, and those that
+    fired at the previous step, because after ``ref += sign * n * C`` the
+    floating-point residual can still reach C. Any other pixel kept its
+    intensity and its reference since a test that gave no event, so it
+    cannot fire. Within a step, events are ordered by pixel in row-major
+    order, as a test over the full frame would order them.
     """
     t0, t1 = interval
     if not (0.0 <= t0 <= t1 <= script.duration_us):
@@ -176,32 +223,52 @@ def generate_guide_events(
     c = camera.contrast_threshold
     step_us = 1e6 / camera.render_rate_hz
     times = _render_times(t0, t1, step_us)
+    w = script.resolution[0]
 
-    ref = np.log(render_scene(script, times[0])[0])
+    objects = _paint_order(script)
+    obj_log = np.log(np.array([o.intensity for o in objects], dtype=np.float64))
+    bg_log = np.log(script.background.intensity_image(script.resolution))
+    boxes = [_object_box(o, times[0], script.resolution) for o in objects]
+    cur = bg_log.copy()  # log intensity at the current render step
+    _paint(cur, boxes, obj_log)
+    ref = cur.copy()
+    cur_flat, ref_flat = cur.ravel(), ref.ravel()
+    fired = np.empty(0, dtype=np.intp)  # flat indices that fired at the previous step
     ts_parts: list[np.ndarray] = []
     xs_parts: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     ps_parts: list[np.ndarray] = []
 
     for t_prev, t_cur in zip(times[:-1], times[1:]):
-        cur = np.log(render_scene(script, t_cur)[0])
-        dl = cur - ref
-        mag = np.abs(dl)
-        cnt = np.floor(mag / c).astype(np.int64)
-        ys, xs = np.nonzero(cnt)
-        if len(ys):
-            n_px = cnt[ys, xs]
-            sign = np.sign(dl[ys, xs])
+        new_boxes = [_object_box(o, t_cur, script.resolution) for o in objects]
+        moved = [_bounding_box(a, b) for a, b in zip(boxes, new_boxes) if a != b]
+        boxes = new_boxes
+        if moved:
+            for ya, yb, xa, xb in moved:
+                cur[ya:yb, xa:xb] = bg_log[ya:yb, xa:xb]
+            _paint(cur, boxes, obj_log)
+
+        hits = [fired[np.abs(cur_flat[fired] - ref_flat[fired]) / c >= 1]]
+        for ya, yb, xa, xb in moved:
+            ys, xs = np.nonzero(np.abs(cur[ya:yb, xa:xb] - ref[ya:yb, xa:xb]) / c >= 1)
+            hits.append((ys + ya) * w + (xs + xa))
+        fired = np.unique(np.concatenate(hits))  # sorted flat indices: row-major order
+        if len(fired):
+            dl = cur_flat[fired] - ref_flat[fired]
+            mag = np.abs(dl)
+            n_px = np.floor(mag / c).astype(np.int64)
+            sign = np.sign(dl)
+            ys, xs = np.divmod(fired, w)
             # per-event crossing index j = 1..n within each firing pixel
             total = int(n_px.sum())
-            rep = np.repeat(np.arange(len(ys)), n_px)
+            rep = np.repeat(np.arange(len(fired)), n_px)
             j = np.arange(total) - np.repeat(np.cumsum(n_px) - n_px, n_px) + 1
-            frac = (j * c) / mag[ys, xs][rep]
+            frac = (j * c) / mag[rep]
             ts_parts.append(t_prev + (t_cur - t_prev) * frac)
             xs_parts.append(xs[rep].astype(np.int32))
             ys_parts.append(ys[rep].astype(np.int32))
             ps_parts.append(sign[rep].astype(np.int8))
-            ref[ys, xs] += sign * n_px * c
+            ref_flat[fired] += sign * n_px * c
 
     if camera.noise_rate_hz > 0:
         w, h = script.resolution

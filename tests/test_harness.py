@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import evsl
+from evsl import harness
 from evsl.cli import main as cli_main
 from evsl.harness import (
     ConfigError,
@@ -236,6 +237,19 @@ class TestCompareSampling:
         by = {r["policy"]: r for r in rows}
         for key in ("mean_mask_fraction", "mean_reflection_rate_ev_s", "mean_plane_rms_m"):
             assert by["sparse"][key] == by["dense"][key]
+
+    def test_parallel_uses_pool_and_equals_serial(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+        sc = tiny_scenario(noise=evsl.NoiseModel(seed=0))
+        assert compare_sampling(sc, parallel=True) == compare_sampling(sc)
+        assert len(pools) == 1
 
     def test_csv_written(self, tmp_path):
         compare_sampling(tiny_scenario(), out_dir=tmp_path)

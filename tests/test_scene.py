@@ -1,18 +1,25 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evsl.events import make_event_frame
+from evsl.events import EventStream, make_event_frame
+from evsl.harness import generate_guide_for, load_scenario
 from evsl.scene import (
     Background,
     CheckerTexture,
     GuideCameraModel,
     MovingObject,
     SceneScript,
+    _render_times,
     generate_guide_events,
     render_scene,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def plane_script(resolution=(32, 24), duration=100000.0, objects=()):
@@ -159,3 +166,127 @@ class TestGuideEvents:
         dl = math.log(obj_intensity) - math.log(bg)
         assert at0[0] == pytest.approx(step_start + 1000.0 * c / dl)
         assert at0[1] == pytest.approx(step_start + 1000.0 * 2 * c / dl)
+
+
+def _full_frame_guide_events(script, camera, interval, seed=0):
+    """Reference guide camera: re-renders and tests every pixel at every step."""
+    t0, t1 = interval
+    if not (0.0 <= t0 <= t1 <= script.duration_us):
+        raise ValueError(f"interval ({t0}, {t1}) outside scene duration")
+    if t1 <= t0:
+        return EventStream.empty(script.resolution)
+
+    c = camera.contrast_threshold
+    step_us = 1e6 / camera.render_rate_hz
+    times = _render_times(t0, t1, step_us)
+
+    ref = np.log(render_scene(script, times[0])[0])
+    ts_parts: list[np.ndarray] = []
+    xs_parts: list[np.ndarray] = []
+    ys_parts: list[np.ndarray] = []
+    ps_parts: list[np.ndarray] = []
+
+    for t_prev, t_cur in zip(times[:-1], times[1:]):
+        cur = np.log(render_scene(script, t_cur)[0])
+        dl = cur - ref
+        mag = np.abs(dl)
+        cnt = np.floor(mag / c).astype(np.int64)
+        ys, xs = np.nonzero(cnt)
+        if len(ys):
+            n_px = cnt[ys, xs]
+            sign = np.sign(dl[ys, xs])
+            # per-event crossing index j = 1..n within each firing pixel
+            total = int(n_px.sum())
+            rep = np.repeat(np.arange(len(ys)), n_px)
+            j = np.arange(total) - np.repeat(np.cumsum(n_px) - n_px, n_px) + 1
+            frac = (j * c) / mag[ys, xs][rep]
+            ts_parts.append(t_prev + (t_cur - t_prev) * frac)
+            xs_parts.append(xs[rep].astype(np.int32))
+            ys_parts.append(ys[rep].astype(np.int32))
+            ps_parts.append(sign[rep].astype(np.int8))
+            ref[ys, xs] += sign * n_px * c
+
+    if camera.noise_rate_hz > 0:
+        w, h = script.resolution
+        rng = np.random.default_rng((seed, int(round(t0 * 1000)), 0xD1CE))
+        lam = camera.noise_rate_hz * w * h * (t1 - t0) * 1e-6
+        n_noise = int(rng.poisson(lam))
+        if n_noise:
+            ts_parts.append(rng.uniform(t0, t1, size=n_noise))
+            xs_parts.append(rng.integers(0, w, size=n_noise, dtype=np.int32))
+            ys_parts.append(rng.integers(0, h, size=n_noise, dtype=np.int32))
+            ps_parts.append(rng.choice(np.array([-1, 1], dtype=np.int8), size=n_noise))
+
+    if not ts_parts:
+        return EventStream.empty(script.resolution)
+    t = np.concatenate(ts_parts)
+    x = np.concatenate(xs_parts)
+    y = np.concatenate(ys_parts)
+    p = np.concatenate(ps_parts)
+    keep = t < t1  # a crossing exactly at the interval end belongs to the next window
+    return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep], sort=True)
+
+
+def assert_same_stream(got, want):
+    assert got.resolution == want.resolution
+    for name in ("t", "x", "y", "p"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestGuideEventsMatchFullFrame:
+    @pytest.mark.parametrize("name", ["moving_object", "plane_compare", "stationary"])
+    def test_every_period_of_bundled_scenario(self, name):
+        scenario = load_scenario(SCENARIOS / f"{name}.yaml")
+        period_us = scenario.projector.period_us
+        for p in range(scenario.periods):
+            window = (p * period_us, (p + 1) * period_us)
+            want = _full_frame_guide_events(scenario.script, scenario.guide_camera, window,
+                                            seed=scenario.seed + p)
+            assert_same_stream(generate_guide_for(scenario, window, p), want)
+
+    def test_residual_reaching_threshold_fires_on_a_still_step(self):
+        # log(o / bg) is 2 C up to rounding: the t=2000 step emits one event,
+        # and the residual left in the reference is still C, so the pixel
+        # fires again at t=3000 although the object's rectangle did not move
+        c, bg = 0.3, 0.075
+        obj = MovingObject(-1.0, 0.0, 1, 1, (0.0003, 0.0), 1.0, bg * math.exp(2 * c))
+        script = SceneScript((3, 1), 5000.0, Background(2.0, bg), (obj,))
+        camera = GuideCameraModel(contrast_threshold=c, render_rate_hz=1000.0)
+        want = _full_frame_guide_events(script, camera, (0.0, 5000.0))
+        assert np.count_nonzero((want.t > 2000.0) & (want.t <= 3000.0)) == 1
+        assert_same_stream(generate_guide_events(script, camera, (0.0, 5000.0)), want)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_random_scenes(self, data):
+        w = data.draw(st.integers(4, 40), label="width")
+        h = data.draw(st.integers(1, 30), label="height")
+        unit = st.floats(0.05, 1.0)
+        speed = st.sampled_from([0.0, 0.0004, -0.0007, 0.0013, -0.0025, 0.004, -0.011])  # px/us
+        checker = data.draw(st.none() | st.builds(CheckerTexture, st.integers(1, 8), unit, unit),
+                            label="checker")
+        objects = [
+            MovingObject(
+                x0=data.draw(st.floats(-1.0 * w, 1.0 * w)),
+                y0=data.draw(st.floats(-1.0 * h, 1.0 * h)),
+                width=data.draw(st.integers(1, w)),
+                height=data.draw(st.integers(1, h)),
+                velocity=(data.draw(speed), data.draw(speed)),
+                depth_m=data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),  # ties included
+                intensity=data.draw(unit),
+            )
+            for _ in range(data.draw(st.integers(0, 4), label="objects"))
+        ]
+        script = SceneScript((w, h), 20000.0, Background(3.0, data.draw(unit), checker), tuple(objects))
+        camera = GuideCameraModel(
+            contrast_threshold=data.draw(st.sampled_from([0.05, 0.15, 0.3])),
+            render_rate_hz=data.draw(st.sampled_from([1000.0, 700.0, 1300.0, 3000.0])),
+            noise_rate_hz=data.draw(st.sampled_from([0.0, 400.0])),
+        )
+        t0 = data.draw(st.floats(0.0, 12000.0), label="t0")
+        t1 = min(t0 + data.draw(st.floats(200.0, 8000.0), label="length"), script.duration_us)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        want = _full_frame_guide_events(script, camera, (t0, t1), seed)
+        assert_same_stream(generate_guide_events(script, camera, (t0, t1), seed), want)
