@@ -1,7 +1,9 @@
 """File formats shared across the toolkit.
 
-- Event streams: CSV-ish text, header ``t_us,x,y,p``, one event per line,
-  timestamps with at least three decimal places.
+- Event streams: text, header ``t_us,x,y,p`` then one event per line,
+  timestamps with at least three decimal places. The reader is strict: the
+  header is required, each line holds exactly four comma-separated numbers,
+  and there are no comment lines. Empty lines are skipped.
 - Images: 16-bit binary PGM (P5, big-endian, maxval 65535). Depth maps get a
   sidecar ``<file>.meta`` declaring meters per grey unit; value 0 marks an
   invalid pixel.
@@ -9,43 +11,56 @@
 - Point clouds: ASCII PLY with float32 x/y/z properties.
 - Tables: UTF-8 CSV with a header row; floats printed with %.9g so repeated
   runs are byte-identical.
+
+The event-stream and PLY writers format a whole array with one ``%``
+operation over its ``tolist()`` values, which prints each value exactly as
+formatting that value alone would.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .depth import PointCloud
 from .events import DepthMap, EventStream
-from .policy import IlluminationMask, RoiSet
-from .projector import ScanPlan
+from .policy import IlluminationMask
 
 
 def write_event_stream(stream: EventStream, path: str | os.PathLike, decimals: int = 6) -> None:
     if decimals < 3:
         raise ValueError("timestamps must carry at least 3 decimal places")
+    columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+    body = (f"%.{decimals}f,%d,%d,%d\n" * len(stream)) % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_us,x,y,p\n")
-        for i in range(len(stream)):
-            fh.write(f"{stream.t[i]:.{decimals}f},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+        fh.write(body)
 
 
 def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | None = None) -> EventStream:
-    """Load a stream; when ``resolution`` is omitted it is inferred as max+1."""
+    """Load a stream; when ``resolution`` is omitted it is inferred as max+1.
+
+    Raises ``ValueError`` on a wrong header, a line that is not four
+    comma-separated numbers, or a body with no events and no ``resolution``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t_us,x,y,p":
             raise ValueError(f"unexpected event stream header {header!r}")
-        body = fh.read().strip()
-    if not body:
-        if resolution is None:
-            raise ValueError("resolution required for an empty stream file")
-        return EventStream.empty(resolution)
-    data = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
-    t, x, y, p = data[:, 0], data[:, 1], data[:, 2], data[:, 3]
+        start = fh.tell()
+        # np.loadtxt only warns on a body without data, so look for it first.
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            if resolution is None:
+                raise ValueError("resolution required for an empty stream file")
+            return EventStream.empty(resolution)
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError(f"event lines must hold 4 fields t_us,x,y,p, got {data.shape[1]}")
+    t, x, y, p = data.T
     if resolution is None:
         resolution = (int(x.max()) + 1, int(y.max()) + 1)
     return EventStream.from_arrays(resolution, t, x.astype(np.int32), y.astype(np.int32), p.astype(np.int8))
@@ -112,12 +127,6 @@ def read_depth_pgm(path: str | os.PathLike) -> DepthMap:
     return DepthMap((w, h), levels.astype(np.float64) * meters_per_unit, valid)
 
 
-def write_intensity_pgm(path: str | os.PathLike, intensity: np.ndarray) -> None:
-    """Dump a (0, 1]-valued intensity image at 16-bit resolution."""
-    levels = np.clip(np.floor(np.asarray(intensity) * 65535.0 + 0.5), 0, 65535)
-    write_pgm16(path, levels)
-
-
 def write_pbm(path: str | os.PathLike, mask: IlluminationMask) -> None:
     """Write a mask as binary PBM; bit 1 = illuminated pixel."""
     w, h = mask.resolution
@@ -147,8 +156,7 @@ def write_ply(path: str | os.PathLike, cloud: PointCloud) -> None:
         fh.write(f"element vertex {len(xyz)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        for px, py, pz in xyz:
-            fh.write(f"{px:.9g} {py:.9g} {pz:.9g}\n")
+        fh.write(("%.9g %.9g %.9g\n" * len(xyz)) % tuple(xyz.ravel().tolist()))
 
 
 def read_ply(path: str | os.PathLike) -> PointCloud:
@@ -183,12 +191,3 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell(v) for v in row) + "\n")
-
-
-def write_scan_plan_csv(plan: ScanPlan, path: str | os.PathLike) -> None:
-    rows = zip(plan.k, plan.rows, plan.cols, (f"{t:.6f}" for t in plan.fire_t_us))
-    write_csv(path, ["k", "row", "col", "fire_t_us"], rows)
-
-
-def write_rois_csv(rois: RoiSet, path: str | os.PathLike) -> None:
-    write_csv(path, ["x_min", "y_min", "x_max", "y_max"], rois.boxes)

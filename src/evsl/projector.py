@@ -211,13 +211,7 @@ def build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: fl
 
 
 _U64 = np.uint64
-
-
-def _mix_py(v: int) -> int:
-    v = (v + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return v ^ (v >> 31)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -229,9 +223,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def _keyed_uniforms(seed: int, sequence: int, ks: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
     """Deterministic uniforms in [0, 1) (or (0, 1]) keyed by raster index."""
-    base = _mix_py(_mix_py(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix_py((sequence + 1) * 0x9E3779B9))
-    h = _splitmix64(ks.astype(_U64) ^ _U64(base))
-    h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF))
+    keys = _splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
+    base = _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
+    h = _splitmix64(ks.astype(_U64) ^ base)
+    h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
     mantissa = (h >> _U64(11)).astype(np.float64)
     if open_low:
         return (mantissa + 1.0) * 2.0**-53

@@ -1,6 +1,13 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evsl import harness
+from evsl.cli import main as cli_main
 from evsl.depth import PointCloud
 from evsl.events import DepthMap, EventStream
 from evsl.formats import (
@@ -12,15 +19,62 @@ from evsl.formats import (
     write_csv,
     write_depth_pgm,
     write_event_stream,
-    write_intensity_pgm,
     write_pbm,
     write_pgm16,
     write_ply,
-    write_rois_csv,
-    write_scan_plan_csv,
 )
-from evsl.policy import IlluminationMask, RoiSet, SparsePolicy, build_mask
-from evsl.projector import ProjectorModel, build_scan_plan
+from evsl.harness import load_scenario, run_scenario
+from evsl.policy import IlluminationMask, SparsePolicy, build_mask
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+# Per-element codecs the vectorised ones replaced, kept as exact oracles.
+
+def _oracle_write_event_stream(stream, path, decimals=6):
+    if decimals < 3:
+        raise ValueError("timestamps must carry at least 3 decimal places")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t_us,x,y,p\n")
+        for i in range(len(stream)):
+            fh.write(f"{stream.t[i]:.{decimals}f},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+
+
+def _oracle_read_event_stream(path, resolution=None):
+    """Load a stream; when ``resolution`` is omitted it is inferred as max+1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "t_us,x,y,p":
+            raise ValueError(f"unexpected event stream header {header!r}")
+        body = fh.read().strip()
+    if not body:
+        if resolution is None:
+            raise ValueError("resolution required for an empty stream file")
+        return EventStream.empty(resolution)
+    data = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
+    t, x, y, p = data[:, 0], data[:, 1], data[:, 2], data[:, 3]
+    if resolution is None:
+        resolution = (int(x.max()) + 1, int(y.max()) + 1)
+    return EventStream.from_arrays(resolution, t, x.astype(np.int32), y.astype(np.int32), p.astype(np.int8))
+
+
+def _oracle_write_ply(path, cloud):
+    xyz = cloud.xyz.astype(np.float32)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(xyz)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write("end_header\n")
+        for px, py, pz in xyz:
+            fh.write(f"{px:.9g} {py:.9g} {pz:.9g}\n")
+
+
+def assert_same_stream(got, want):
+    assert got.resolution == want.resolution
+    for name in ("t", "x", "y", "p"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestEventStreamText:
@@ -60,18 +114,107 @@ class TestEventStreamText:
         assert len(read_event_stream(path, (4, 4))) == 0
         with pytest.raises(ValueError):
             read_event_stream(path)
+        for body in ("\n", "\n\n   \n\t\n"):  # blank lines only
+            path.write_text("t_us,x,y,p\n" + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stream = read_event_stream(path, (5, 3))
+                with pytest.raises(ValueError, match="resolution required"):
+                    read_event_stream(path)
+            assert len(stream) == 0 and stream.resolution == (5, 3)
 
     def test_resolution_inferred(self, tmp_path):
-        stream = EventStream((10, 10), [1.0], [9], [4], [1])
+        stream = EventStream((10, 10), [1.0], [9], [4], [-1])
         path = tmp_path / "infer.txt"
         write_event_stream(stream, path)
-        assert read_event_stream(path).resolution == (10, 5)
+        back = read_event_stream(path)  # a one-event file parses as one row
+        assert back.resolution == (10, 5)
+        assert back.p.tolist() == [-1]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("time,x,y,p\n")
         with pytest.raises(ValueError, match="header"):
             read_event_stream(path, (4, 4))
+
+    @pytest.mark.parametrize("line, error", [
+        ("1.0,2,3", "4 fields"),
+        ("1.0,2,3,1,0", "4 fields"),
+        ("1.0,2,3,one", "convert"),
+        ("#1.0,2,3,1", "convert"),  # comment lines are not part of the format
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"t_us,x,y,p\n1.0,0,0,1\n{line}\n")
+        with pytest.raises(ValueError):
+            read_event_stream(path, (8, 8))
+        path.write_text(f"t_us,x,y,p\n{line}\n")
+        with pytest.raises(ValueError, match=error):
+            read_event_stream(path)
+        assert cli_main(["active-pixels", str(path)]) == 2
+
+
+class TestTextCodecMatchesOracle:
+    @pytest.mark.parametrize("name", ["moving_object", "plane_compare"])
+    def test_every_dump_of_bundled_scenario(self, name, tmp_path, monkeypatch):
+        written = []
+
+        def recording(writer):
+            def wrapper(*args):
+                written.append((writer, args))
+                return writer(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "write_event_stream", recording(write_event_stream))
+        monkeypatch.setattr(harness, "write_ply", recording(write_ply))
+        run_scenario(load_scenario(SCENARIOS / f"{name}.yaml"), dump=("events", "ply"), out_dir=tmp_path / "run")
+        assert {w for w, _ in written} == {write_event_stream, write_ply}
+        for writer, args in written:
+            if writer is write_event_stream:
+                stream, path = args
+                _oracle_write_event_stream(stream, tmp_path / "oracle")
+                assert_same_stream(read_event_stream(path, stream.resolution),
+                                   _oracle_read_event_stream(path, stream.resolution))
+            else:
+                path, cloud = args
+                _oracle_write_ply(tmp_path / "oracle", cloud)
+            assert path.read_bytes() == (tmp_path / "oracle").read_bytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(0, 300),
+        decimals=st.integers(3, 9),
+        t_max=st.sampled_from([1.0, 1e3, 1e7]),
+        t_drawn=st.lists(st.floats(0.0, 1e7) | st.integers(0, 10**13).map(lambda v: v / 10**6), max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_streams(self, tmp_path_factory, n, decimals, t_max, t_drawn, seed):
+        # bulk timestamps come from a seeded generator, since drawing 300
+        # values per example through hypothesis dominates the run time
+        rng = np.random.default_rng(seed)
+        t = np.concatenate([rng.uniform(0.0, t_max, n), t_drawn])
+        w, h = (int(v) for v in rng.integers(1, 2000, 2))
+        stream = EventStream.from_arrays(
+            (w, h), t, rng.integers(0, w, len(t)), rng.integers(0, h, len(t)), rng.choice([-1, 1], len(t))
+        )
+        path = tmp_path_factory.mktemp("events") / "events.txt"
+        _oracle_write_event_stream(stream, path, decimals)
+        want = path.read_bytes()
+        write_event_stream(stream, path, decimals)
+        assert path.read_bytes() == want
+        assert_same_stream(read_event_stream(path, (w, h)), _oracle_read_event_stream(path, (w, h)))
+        if len(stream):
+            assert_same_stream(read_event_stream(path), _oracle_read_event_stream(path))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(xyz=st.lists(st.tuples(*[st.floats(-3e38, 3e38) | st.floats(-1e-40, 1e-40)] * 3), max_size=200))
+    def test_random_clouds(self, tmp_path_factory, xyz):
+        cloud = PointCloud(np.array(xyz, dtype=np.float64).reshape(-1, 3))
+        path = tmp_path_factory.mktemp("cloud") / "cloud.ply"
+        _oracle_write_ply(path, cloud)
+        want = path.read_bytes()
+        write_ply(path, cloud)
+        assert path.read_bytes() == want
 
 
 class TestPgm:
@@ -108,13 +251,6 @@ class TestPgm:
         meta = (tmp_path / "depth.pgm.meta").read_text()
         assert "meters_per_unit" in meta
         assert "invalid_value 0" in meta
-
-    def test_intensity_pgm(self, tmp_path):
-        path = tmp_path / "i.pgm"
-        write_intensity_pgm(path, np.array([[0.0, 1.0], [0.5, 0.25]]))
-        levels = read_pgm16(path)
-        assert levels[0, 1] == 65535
-        assert levels[1, 0] == 32768
 
     def test_level_range_enforced(self, tmp_path):
         with pytest.raises(ValueError):
@@ -169,17 +305,3 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[1] == "1,0.3,,true,x"
 
-    def test_scan_plan_csv(self, tmp_path):
-        proj = ProjectorModel((4, 2), 60.0)
-        plan = build_scan_plan(proj, build_mask(SparsePolicy(3), (4, 2)), 0.0)
-        path = tmp_path / "plan.csv"
-        write_scan_plan_csv(plan, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,row,col,fire_t_us"
-        assert lines[1].startswith("0,0,0,0.000000")
-        assert lines[2].split(",")[0] == "3"
-
-    def test_rois_csv(self, tmp_path):
-        path = tmp_path / "rois.csv"
-        write_rois_csv(RoiSet(((1, 2, 3, 4),)), path)
-        assert path.read_text() == "x_min,y_min,x_max,y_max\n1,2,3,4\n"
