@@ -1,9 +1,9 @@
 """Depth recovery from reflection-event time surfaces, and evaluation tools.
 
 Each camera pixel's latest event timestamp identifies the projector raster
-slot that produced it; the slot's column and the camera column triangulate
-depth through the rectified geometry. Reconstructions of planar targets are
-scored by total-least-squares plane fitting.
+slot that produced it; depth follows from the disparity between the slot's
+column and the camera column in the rectified geometry. Reconstructions of
+planar targets are scored by total-least-squares plane fitting.
 """
 
 from __future__ import annotations
@@ -11,18 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .events import DepthMap, TimeSurface
 from .projector import ProjectorModel, SensorGeometry
-
-
-class OutOfPeriodError(ValueError):
-    """Timestamp does not fall inside the scan period being decoded."""
-
-
-class NonPositiveDisparityError(ValueError):
-    """Projector column does not lie to the right of the camera column."""
 
 
 class DegenerateInputError(ValueError):
@@ -31,12 +22,11 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class PlaneFit:
-    """Plane n . X = d with unit normal, plus the fit's residual statistics."""
+    """Plane n . X = d with unit normal, plus the rms point-to-plane residual."""
 
     normal: tuple[float, float, float]
     d: float
     rms: float
-    inlier_count: int
 
 
 @dataclass(frozen=True)
@@ -65,37 +55,18 @@ def decode_projector_indices(t_us: np.ndarray, projector: ProjectorModel, t0_us:
     return k // w, k % w
 
 
-def decode_projector_pixel(t_us: float, projector: ProjectorModel, t0_us: float) -> tuple[int, int]:
-    """Map one event timestamp to the projector (row, col) that fired it."""
-    if not (t0_us <= t_us < t0_us + projector.period_us):
-        raise OutOfPeriodError(
-            f"t={t_us} outside scan period [{t0_us}, {t0_us + projector.period_us})"
-        )
-    row, col = decode_projector_indices(np.array([t_us]), projector, t0_us)
-    return int(row[0]), int(col[0])
-
-
-def triangulate(cam_col: float, proj_col: float, geometry: SensorGeometry) -> float:
-    """Depth Z = f * b / (proj_col - cam_col) for a rectified pair."""
-    disparity = proj_col - cam_col
-    if disparity <= 0:
-        raise NonPositiveDisparityError(f"disparity {disparity} is not positive")
-    return geometry.focal_length_px * geometry.baseline_m / disparity
-
-
 def reconstruct_depth(
     surface: TimeSurface,
     geometry: SensorGeometry,
     projector: ProjectorModel,
     t0_us: float,
-    row_tolerance: int = 1,
 ) -> tuple[DepthMap, dict[str, int]]:
     """Recover a sparse depth map from one scan period's time surface.
 
     Pixels with no event, a decoded projector row disagreeing with the camera
-    row by more than ``row_tolerance`` (timing noise near row boundaries flips
-    rows), or non-positive disparity come back invalid; the tally reports each
-    failure class.
+    row by more than one (timing noise near row boundaries flips rows), or
+    non-positive disparity come back invalid; the tally reports each failure
+    class.
     """
     w0, w1 = surface.window
     if abs((w1 - w0) - projector.period_us) > 1e-6 * projector.period_us or abs(w0 - t0_us) > 1e-6 * max(1.0, abs(t0_us)):
@@ -113,7 +84,7 @@ def reconstruct_depth(
     }
     if len(ys):
         rows, cols = decode_projector_indices(surface.last_t[ys, xs], projector, t0_us)
-        row_ok = np.abs(rows - ys) <= row_tolerance
+        row_ok = np.abs(rows - ys) <= 1
         disparity = cols - xs
         disp_ok = disparity > 0
         ok = row_ok & disp_ok
@@ -137,88 +108,19 @@ def depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud
     return PointCloud(np.column_stack([x, y, z]))
 
 
-def _tls_plane(xyz: np.ndarray) -> tuple[np.ndarray, float, float]:
+def fit_plane(points: PointCloud) -> PlaneFit:
+    """Total-least-squares plane fit: minimizes squared point-to-plane distance."""
+    xyz = points.xyz
+    if len(xyz) < 3:
+        raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
     centroid = xyz.mean(axis=0)
     centered = xyz - centroid
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if len(xyz) < 3 or s[0] <= 0 or s[1] <= 1e-12 * s[0]:
+    if s[0] <= 0 or s[1] <= 1e-12 * s[0]:
         raise DegenerateInputError("plane fit needs >= 3 non-collinear points")
     normal = vt[-1]
     d = float(normal @ centroid)
     if d < 0 or (d == 0 and normal[np.flatnonzero(normal)[0]] < 0):
         normal, d = -normal, -d
     rms = float(np.sqrt(np.mean((centered @ normal) ** 2)))
-    return normal, d, rms
-
-
-def fit_plane(
-    points: PointCloud,
-    robust: bool = False,
-    iterations: int = 200,
-    inlier_threshold_m: float = 0.01,
-    seed: int = 0,
-) -> PlaneFit:
-    """Total-least-squares plane fit, optionally after a consensus search.
-
-    The default fit minimizes squared point-to-plane distance over all
-    points. With ``robust=True``, a fixed number of random 3-point samples
-    vote for the plane with the most inliers within ``inlier_threshold_m``,
-    and the result is a TLS refit over that consensus set, with the rms
-    reported over the inliers only.
-    """
-    xyz = points.xyz
-    if len(xyz) < 3:
-        raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
-    if not robust:
-        normal, d, rms = _tls_plane(xyz)
-        return PlaneFit(tuple(float(v) for v in normal), d, rms, len(xyz))
-
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    best_count = -1
-    for _ in range(iterations):
-        i, j, k = rng.integers(0, len(xyz), size=3)
-        n = np.cross(xyz[j] - xyz[i], xyz[k] - xyz[i])
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            continue
-        n = n / norm
-        dist = np.abs((xyz - xyz[i]) @ n)
-        mask = dist <= inlier_threshold_m
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask = count, mask
-    if best_mask is None or best_count < 3:
-        raise DegenerateInputError("consensus search found no valid plane")
-    normal, d, rms = _tls_plane(xyz[best_mask])
-    return PlaneFit(tuple(float(v) for v in normal), d, rms, best_count)
-
-
-def inpaint_depth(sparse: DepthMap, neighbor_count: int = 8) -> DepthMap:
-    """Fill invalid pixels by inverse-distance-weighted nearest valid samples.
-
-    Weights are 1/distance^2 over the ``neighbor_count`` nearest valid
-    pixels, so filled values are convex combinations of observed depths.
-    Valid pixels pass through unchanged.
-    """
-    if neighbor_count < 1:
-        raise ValueError("neighbor_count must be >= 1")
-    n_valid = sparse.valid_count
-    if n_valid == 0:
-        raise DegenerateInputError("cannot inpaint a map with no valid pixels")
-    if bool(sparse.valid.all()):
-        return sparse
-    vy, vx = np.nonzero(sparse.valid)
-    iy, ix = np.nonzero(~sparse.valid)
-    tree = cKDTree(np.column_stack([vx, vy]))
-    k = min(neighbor_count, n_valid)
-    dist, idx = tree.query(np.column_stack([ix, iy]), k=k)
-    dist = np.atleast_2d(dist.T).T if k == 1 else dist
-    idx = np.atleast_2d(idx.T).T if k == 1 else idx
-    weights = 1.0 / dist**2
-    samples = sparse.depth[vy[idx], vx[idx]]
-    fill = (weights * samples).sum(axis=1) / weights.sum(axis=1)
-    depth = sparse.depth.copy()
-    depth[iy, ix] = fill
-    w, h = sparse.resolution
-    return DepthMap(sparse.resolution, depth, np.ones((h, w), dtype=bool))
+    return PlaneFit(tuple(float(v) for v in normal), d, rms)

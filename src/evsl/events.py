@@ -76,21 +76,10 @@ class EventStream:
         return cls(resolution, z, z, z, z)
 
     @classmethod
-    def from_events(cls, resolution: tuple[int, int], events: Iterable[Event]) -> "EventStream":
-        evs = list(events)
-        if not evs:
-            return cls.empty(resolution)
-        t = np.array([e.t for e in evs], dtype=np.float64)
-        x = np.array([e.x for e in evs], dtype=np.int32)
-        y = np.array([e.y for e in evs], dtype=np.int32)
-        p = np.array([e.p for e in evs], dtype=np.int8)
-        order = np.argsort(t, kind="stable")
-        return cls(resolution, t[order], x[order], y[order], p[order])
-
-    @classmethod
-    def from_arrays(cls, resolution, t, x, y, p, sort: bool = True) -> "EventStream":
+    def from_arrays(cls, resolution, t, x, y, p) -> "EventStream":
+        """Build a stream from unsorted arrays with a stable sort by time."""
         t = np.asarray(t, dtype=np.float64)
-        if sort and len(t) > 1:
+        if len(t) > 1:
             order = np.argsort(t, kind="stable")
             return cls(resolution, t[order], np.asarray(x)[order], np.asarray(y)[order], np.asarray(p)[order])
         return cls(resolution, t, x, y, p)
@@ -108,17 +97,13 @@ class EventStream:
         x = np.concatenate([s.x for s in streams])
         y = np.concatenate([s.y for s in streams])
         p = np.concatenate([s.p for s in streams])
-        return EventStream.from_arrays(res, t, x, y, p, sort=True)
+        return EventStream.from_arrays(res, t, x, y, p)
 
     def window_indices(self, t_start: float, t_end: float) -> tuple[int, int]:
         """Index range [i0, i1) of events with t_start <= t < t_end."""
         i0 = int(np.searchsorted(self.t, t_start, side="left"))
         i1 = int(np.searchsorted(self.t, t_end, side="left"))
         return i0, i1
-
-    def slice_window(self, t_start: float, t_end: float) -> "EventStream":
-        i0, i1 = self.window_indices(t_start, t_end)
-        return EventStream(self.resolution, self.t[i0:i1], self.x[i0:i1], self.y[i0:i1], self.p[i0:i1])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -138,10 +123,6 @@ class EventFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _frozen(np.asarray(self.counts, dtype=np.int64)))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -199,11 +180,6 @@ class DepthMap:
     def constant(cls, resolution: tuple[int, int], depth_m: float) -> "DepthMap":
         w, h = resolution
         return cls(resolution, np.full((h, w), float(depth_m)), np.ones((h, w), dtype=bool))
-
-    @classmethod
-    def all_invalid(cls, resolution: tuple[int, int]) -> "DepthMap":
-        w, h = resolution
-        return cls(resolution, np.zeros((h, w)), np.zeros((h, w), dtype=bool))
 
     @property
     def valid_count(self) -> int:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 import yaml
 
-from .depth import depth_to_points, fit_plane, reconstruct_depth
+from .depth import DegenerateInputError, depth_to_points, fit_plane, reconstruct_depth
 from .events import DepthMap, EventStream, make_event_frame, make_time_surface
 from .formats import (
     write_csv,
@@ -95,8 +95,9 @@ class Scenario:
 class PeriodReport:
     """Per-scan-period metrics; the power proxy is the mask's on-fraction.
 
-    ``error`` is set (and the depth metrics zeroed) when the period's pipeline
-    failed; the run continues with the remaining periods.
+    ``error`` is set (and ``plane_rms_m`` is None) when the plane fit found
+    the reconstruction degenerate; every other metric and the period's dumps
+    are kept, and the run continues. Any other failure is raised.
     """
 
     period: int
@@ -123,22 +124,8 @@ PERIOD_CSV_HEADER = [
 ]
 
 
-def _report_row(r: PeriodReport) -> list:
-    return [
-        r.period,
-        r.active_pixel_fraction,
-        r.mask_fraction,
-        r.guide_event_rate,
-        r.reflection_event_rate,
-        r.valid_depth_pixels,
-        r.plane_rms_m,
-        r.power_proxy,
-        r.error,
-    ]
-
-
 def write_period_csv(reports: Sequence[PeriodReport], path: str | os.PathLike) -> None:
-    write_csv(path, PERIOD_CSV_HEADER, (_report_row(r) for r in reports))
+    write_csv(path, PERIOD_CSV_HEADER, map(astuple, reports))
 
 
 def _resample_depth(depth_map: DepthMap, resolution: tuple[int, int]) -> DepthMap:
@@ -216,33 +203,23 @@ def run_scenario(
         guide_frame = make_event_frame(guide_streams[p], (w0, w1))
         guide_rate = len(guide_streams[p]) / period_s
         active = active_pixel_fraction(guide_frame, active_threshold)
-        try:
-            mask = _mask_for_period(scenario, p, guide_streams[p - 1] if p else None, windows[p - 1] if p else None)
-            plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
-            _, scene_depth = render_scene(scenario.script, (w0 + w1) / 2.0)
-            proj_depth = _resample_depth(scene_depth, scenario.projector.resolution)
-            reflection, _ = simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)
-            surface = make_time_surface(reflection, (w0, w1))
-            depth_map, _ = reconstruct_depth(surface, scenario.geometry, scenario.projector, w0)
+        mask = _mask_for_period(scenario, p, guide_streams[p - 1] if p else None, windows[p - 1] if p else None)
+        plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
+        _, scene_depth = render_scene(scenario.script, (w0 + w1) / 2.0)
+        proj_depth = _resample_depth(scene_depth, scenario.projector.resolution)
+        reflection, _ = simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)
+        surface = make_time_surface(reflection, (w0, w1))
+        depth_map, _ = reconstruct_depth(surface, scenario.geometry, scenario.projector, w0)
 
-            plane_rms = None
-            cloud = None
-            if scenario.evaluate_plane and depth_map.valid_count >= 3:
-                cloud = depth_to_points(depth_map, scenario.geometry)
+        plane_rms = None
+        error = None
+        cloud = None
+        if scenario.evaluate_plane and depth_map.valid_count >= 3:
+            cloud = depth_to_points(depth_map, scenario.geometry)
+            try:
                 plane_rms = fit_plane(cloud).rms
-        except Exception as exc:  # record the failure and keep scanning
-            reports.append(PeriodReport(
-                period=p,
-                active_pixel_fraction=active,
-                mask_fraction=0.0,
-                guide_event_rate=guide_rate,
-                reflection_event_rate=0.0,
-                valid_depth_pixels=0,
-                plane_rms_m=None,
-                power_proxy=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-            continue
+            except DegenerateInputError as exc:  # record the failure and keep scanning
+                error = f"{type(exc).__name__}: {exc}"
 
         reports.append(PeriodReport(
             period=p,
@@ -253,6 +230,7 @@ def run_scenario(
             valid_depth_pixels=depth_map.valid_count,
             plane_rms_m=plane_rms,
             power_proxy=mask.fraction,
+            error=error,
         ))
 
         if out_path is not None:
@@ -404,6 +382,14 @@ def write_sweep_csv(rows: Sequence[dict], header: Sequence[str], path: str | os.
 _MISSING = object()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class _Section:
     """Mapping wrapper that tracks consumed keys and error paths."""
 
@@ -436,7 +422,7 @@ class _Section:
 
     def take_number(self, key: str, default=_MISSING, minimum=None, exclusive=False, maximum=None) -> float:
         value = self.take(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ConfigError(f"{self.key(key)}: expected a number, got {value!r}")
         value = float(value)
         if minimum is not None and (value <= minimum if exclusive else value < minimum):
@@ -448,7 +434,7 @@ class _Section:
 
     def take_int(self, key: str, default=_MISSING, minimum=None) -> int:
         value = self.take(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ConfigError(f"{self.key(key)}: expected an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{self.key(key)}: must be at least {minimum}")
@@ -472,16 +458,20 @@ class _Section:
         value = self.take(key, default)
         if isinstance(value, tuple):
             return value
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
+        if not isinstance(value, list) or len(value) != 2:
             raise ConfigError(f"{self.key(key)}: expected a pair [a, b], got {value!r}")
-        try:
-            return tuple(int(v) if integer else float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.key(key)}: expected numeric pair, got {value!r}") from None
+        if integer:
+            if not all(_is_int(v) for v in value):
+                raise ConfigError(f"{self.key(key)}: expected integer pair, got {value!r}")
+            return tuple(value)
+        if not all(_is_number(v) for v in value):
+            raise ConfigError(f"{self.key(key)}: expected numeric pair, got {value!r}")
+        return tuple(float(v) for v in value)
 
     def take_list(self, key: str, default=_MISSING) -> list | None:
+        """A list; ``null`` is accepted only where the default is None."""
         value = self.take(key, default)
-        if value is None or isinstance(value, list):
+        if isinstance(value, list) or value is default:
             return value
         raise ConfigError(f"{self.key(key)}: expected a list, got {value!r}")
 
@@ -516,11 +506,15 @@ def _parse_object(sec: _Section) -> MovingObject:
     if not isinstance(rect, list) or len(rect) != 4:
         raise ConfigError(f"{sec.key('rect_px')}: expected [x0, y0, width, height]")
     x0, y0, w, h = rect
+    if not (_is_number(x0) and _is_number(y0) and _is_int(w) and _is_int(h) and w >= 1 and h >= 1):
+        raise ConfigError(
+            f"{sec.key('rect_px')}: expected numbers x0, y0 and integers width, height >= 1, got {rect!r}"
+        )
     obj = MovingObject(
         x0=float(x0),
         y0=float(y0),
-        width=int(w),
-        height=int(h),
+        width=w,
+        height=h,
         velocity=sec.take_pair("velocity_px_per_us", (0.0, 0.0)),
         depth_m=sec.take_number("depth_m", minimum=0, exclusive=True),
         intensity=sec.take_number("intensity", 0.9, minimum=0, exclusive=True, maximum=1.0),
@@ -565,6 +559,8 @@ def _parse_policy(sec: _Section) -> Policy:
                 background_stride=sec.take_int("background_stride", 16, minimum=1),
                 first_period=sec.take_str("first_period", "dense", choices=["dense", "sparse"]),
             )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{sec.key(kind)}: {exc}") from None
     sec.finish()
@@ -588,12 +584,17 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     proj_sec.finish()
 
     geo = root.child("geometry")
-    geometry = SensorGeometry(
-        cam_resolution=geo.take_pair("cam_resolution", integer=True),
-        proj_resolution=geo.take_pair("proj_resolution", integer=True),
-        focal_length_px=geo.take_number("focal_length_px", minimum=0, exclusive=True),
-        baseline_m=geo.take_number("baseline_m", 0.04, minimum=0, exclusive=True),
-    )
+    try:
+        geometry = SensorGeometry(
+            cam_resolution=geo.take_pair("cam_resolution", integer=True),
+            proj_resolution=geo.take_pair("proj_resolution", integer=True),
+            focal_length_px=geo.take_number("focal_length_px", minimum=0, exclusive=True),
+            baseline_m=geo.take_number("baseline_m", 0.04, minimum=0, exclusive=True),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"geometry: {exc}") from None
     geo.finish()
     projector = ProjectorModel(geometry.proj_resolution, frequency)
 
@@ -618,7 +619,7 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
         else:
             anchor_tuple = []
             for i, pair in enumerate(anchors):
-                if not isinstance(pair, list) or len(pair) != 2:
+                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
                     raise ConfigError(f"{noise_sec.key('jitter_anchors')}[{i}]: expected [rate_mev_s, std_us]")
                 anchor_tuple.append((float(pair[0]), float(pair[1])))
             anchor_tuple = tuple(anchor_tuple)
@@ -629,6 +630,8 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
                 drop_probability=noise_sec.take_number("drop_probability", 0.0, minimum=0),
                 quantization_us=noise_sec.take_number("quantization_us", 1.0, minimum=0),
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from None
         noise_sec.finish()

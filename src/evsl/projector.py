@@ -83,13 +83,6 @@ SENSOR_PRESETS: tuple[SensorPreset, ...] = (
 )
 
 
-def get_preset(name: str) -> SensorPreset:
-    for preset in SENSOR_PRESETS:
-        if preset.name == name:
-            return preset
-    raise KeyError(f"unknown sensor preset {name!r}")
-
-
 def pixel_dwell_time(frequency_hz: float, width: int, height: int, stride: int = 1) -> float:
     """Seconds between consecutive illuminated pixels for a given raster stride."""
     if frequency_hz <= 0 or width <= 0 or height <= 0 or stride <= 0:
@@ -302,6 +295,5 @@ def simulate_reflection_events(
         cam_col[keep].astype(np.int32),
         plan.rows[keep],
         np.ones(int(keep.sum()), dtype=np.int8),
-        sort=True,
     )
     return stream, tally

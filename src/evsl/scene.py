@@ -288,4 +288,4 @@ def generate_guide_events(
     y = np.concatenate(ys_parts)
     p = np.concatenate(ps_parts)
     keep = t < t1  # a crossing exactly at the interval end belongs to the next window
-    return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep], sort=True)
+    return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep])

@@ -3,16 +3,11 @@ import pytest
 
 from evsl.depth import (
     DegenerateInputError,
-    NonPositiveDisparityError,
-    OutOfPeriodError,
     PointCloud,
     decode_projector_indices,
-    decode_projector_pixel,
     depth_to_points,
     fit_plane,
-    inpaint_depth,
     reconstruct_depth,
-    triangulate,
 )
 from evsl.events import DepthMap, TimeSurface, make_time_surface
 from evsl.policy import DensePolicy, IlluminationMask, build_mask
@@ -28,25 +23,22 @@ from evsl.projector import (
 class TestDecode:
     def test_period_start_is_origin(self):
         proj = ProjectorModel((16, 8), 60.0)
-        assert decode_projector_pixel(100.0, proj, 100.0) == (0, 0)
+        rows, cols = decode_projector_indices(np.array([100.0]), proj, 100.0)
+        assert (rows[0], cols[0]) == (0, 0)
 
     def test_first_pixel_of_second_row(self):
         proj = ProjectorModel((16, 8), 60.0)
         t = 16 * proj.dwell_time_us
-        assert decode_projector_pixel(t, proj, 0.0) == (1, 0)
+        rows, cols = decode_projector_indices(np.array([t]), proj, 0.0)
+        assert (rows[0], cols[0]) == (1, 0)
 
     def test_nearest_rounding(self):
         proj = ProjectorModel((16, 8), 60.0)
         k = 37
-        t = (k + 0.4) * proj.dwell_time_us
-        assert decode_projector_pixel(t, proj, 0.0) == (k // 16, k % 16)
-
-    def test_out_of_period_rejected(self):
-        proj = ProjectorModel((16, 8), 60.0)
-        with pytest.raises(OutOfPeriodError):
-            decode_projector_pixel(proj.period_us + 1.0, proj, 0.0)
-        with pytest.raises(OutOfPeriodError):
-            decode_projector_pixel(-1.0, proj, 0.0)
+        t = np.array([k - 0.4, k + 0.4]) * proj.dwell_time_us
+        rows, cols = decode_projector_indices(t, proj, 0.0)
+        assert rows.tolist() == [k // 16] * 2
+        assert cols.tolist() == [k % 16] * 2
 
     def test_round_trip_over_random_plans(self):
         rng = np.random.default_rng(4)
@@ -71,22 +63,40 @@ class TestDecode:
         assert np.array_equal(cols, plan.cols)
 
 
+def single_row_events(geom, proj, cam_cols, proj_cols):
+    """Reconstruct a surface with one event per row: camera column ``cam_cols[i]``
+    on row i, timestamped at the firing of projector slot (i, ``proj_cols[i]``)."""
+    w, h = geom.cam_resolution
+    last = np.full((h, w), np.nan)
+    for row, (cam_col, proj_col) in enumerate(zip(cam_cols, proj_cols)):
+        last[row, cam_col] = (row * proj.resolution[0] + proj_col) * proj.dwell_time_us
+    surface = TimeSurface((w, h), last, (0.0, proj.period_us))
+    return reconstruct_depth(surface, geom, proj, 0.0)
+
+
 class TestTriangulate:
+    """z = f * b / (proj_col - cam_col), as computed by reconstruct_depth."""
+
     def test_anchor_case(self):
         geom = SensorGeometry((640, 480), (640, 480), 600.0, 0.04)
-        assert triangulate(100.0, 112.0, geom) == pytest.approx(2.0, rel=1e-12)
+        depth_map, _ = single_row_events(geom, ProjectorModel((640, 480), 60.0), [100], [112])
+        assert depth_map.depth[0, 100] == pytest.approx(2.0, rel=1e-12)
 
     def test_algebraic_round_trip(self):
         geom = SensorGeometry((640, 480), (640, 480), 600.0, 0.04)
-        rng = np.random.default_rng(1)
-        for z in rng.uniform(0.2, 50.0, 50):
-            d = geom.focal_length_px * geom.baseline_m / z
-            assert triangulate(50.0, 50.0 + d, geom) == pytest.approx(z, rel=1e-12)
+        disparities = np.arange(1, 301)
+        depth_map, tally = single_row_events(
+            geom, ProjectorModel((640, 480), 60.0), [50] * len(disparities), 50 + disparities
+        )
+        assert tally["valid"] == len(disparities)
+        expected = geom.focal_length_px * geom.baseline_m / disparities
+        assert np.allclose(depth_map.depth[: len(disparities), 50], expected, rtol=1e-12, atol=0)
 
     def test_zero_disparity_rejected(self):
         geom = SensorGeometry((640, 480), (640, 480), 600.0, 0.04)
-        with pytest.raises(NonPositiveDisparityError):
-            triangulate(10.0, 10.0, geom)
+        depth_map, tally = single_row_events(geom, ProjectorModel((640, 480), 60.0), [10], [10])
+        assert depth_map.valid_count == 0
+        assert tally["nonpositive_disparity"] == 1
 
 
 def noiseless_reconstruction(resolution=(64, 48), z=2.0):
@@ -170,9 +180,8 @@ class TestReconstructDepth:
 class TestDepthToPoints:
     def test_center_pixel_on_axis(self):
         geom = SensorGeometry((64, 48), (64, 48), 600.0, 0.04)
-        dm = DepthMap.all_invalid((64, 48))
-        depth = np.array(dm.depth)
-        valid = np.array(dm.valid)
+        depth = np.zeros((48, 64))
+        valid = np.zeros((48, 64), bool)
         depth[24, 32] = 2.0
         valid[24, 32] = True
         pts = depth_to_points(DepthMap((64, 48), depth, valid), geom)
@@ -237,66 +246,9 @@ class TestFitPlane:
         rotated = fit_plane(PointCloud(xyz @ q.T)).rms
         assert rotated == pytest.approx(base, rel=1e-9)
 
-    def test_robust_mode_ignores_outliers(self):
-        rng = np.random.default_rng(15)
-        n = 2000
-        xyz = np.column_stack([
-            rng.uniform(-1, 1, n),
-            rng.uniform(-1, 1, n),
-            2.0 + rng.normal(0, 1e-4, n),
-        ])
-        outliers = np.column_stack([
-            rng.uniform(-1, 1, 200),
-            rng.uniform(-1, 1, 200),
-            rng.uniform(5.0, 50.0, 200),
-        ])
-        cloud = PointCloud(np.vstack([xyz, outliers]))
-        robust = fit_plane(cloud, robust=True, iterations=100, inlier_threshold_m=0.01, seed=3)
-        assert robust.rms < 5e-4
-        assert robust.inlier_count >= n * 0.95
-        plain = fit_plane(cloud)
-        assert plain.rms > robust.rms * 10
-
     def test_normal_is_unit(self):
         rng = np.random.default_rng(19)
         xyz = rng.normal(size=(100, 3)) * [1, 1, 0.01] + [0, 0, 5]
         fit = fit_plane(PointCloud(xyz))
         assert np.linalg.norm(fit.normal) == pytest.approx(1.0, abs=1e-9)
 
-
-class TestInpaint:
-    def test_fully_valid_is_identity(self):
-        dm = DepthMap.constant((8, 8), 2.0)
-        out = inpaint_depth(dm)
-        assert np.array_equal(out.depth, dm.depth)
-
-    def test_constant_samples_fill_constant(self):
-        depth = np.zeros((10, 10))
-        valid = np.zeros((10, 10), bool)
-        depth[::3, ::3] = 1.5
-        valid[::3, ::3] = True
-        out = inpaint_depth(DepthMap((10, 10), depth, valid), neighbor_count=4)
-        assert out.valid.all()
-        assert np.allclose(out.depth, 1.5)
-
-    def test_filled_values_bounded_by_samples(self):
-        rng = np.random.default_rng(14)
-        depth = np.zeros((20, 20))
-        valid = rng.random((20, 20)) < 0.2
-        depth[valid] = np.where(rng.random(valid.sum()) < 0.5, 1.0, 3.0)
-        out = inpaint_depth(DepthMap((20, 20), depth, valid), neighbor_count=6)
-        assert out.depth.min() >= 1.0 - 1e-12
-        assert out.depth.max() <= 3.0 + 1e-12
-        assert np.array_equal(out.depth[valid], depth[valid])
-
-    def test_all_invalid_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            inpaint_depth(DepthMap.all_invalid((5, 5)))
-
-    def test_single_sample(self):
-        depth = np.zeros((4, 4))
-        valid = np.zeros((4, 4), bool)
-        depth[1, 1] = 2.5
-        valid[1, 1] = True
-        out = inpaint_depth(DepthMap((4, 4), depth, valid), neighbor_count=8)
-        assert np.allclose(out.depth, 2.5)

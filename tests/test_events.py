@@ -29,8 +29,10 @@ def random_stream(rng, resolution=(32, 32), n=200, t_max=1000.0):
 
 class TestEventStream:
     def test_sorted_on_construction(self):
-        s = EventStream.from_events((4, 4), [Event(5.0, 1, 1, 1), Event(2.0, 0, 0, -1)])
-        assert list(s.t) == [2.0, 5.0]
+        s = EventStream.from_arrays((4, 4), [5.0, 2.0, 5.0], [1, 0, 3], [1, 0, 3], [1, -1, -1])
+        assert list(s.t) == [2.0, 5.0, 5.0]
+        assert list(s.x) == [0, 1, 3]  # stable: equal timestamps keep their order
+        assert list(s.p) == [-1, 1, -1]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -53,10 +55,9 @@ class TestEventStream:
         with pytest.raises(ValueError):
             s.t[0] = 2.0
 
-    def test_slice_window_half_open(self):
+    def test_window_indices_half_open(self):
         s = EventStream((4, 4), [1.0, 2.0, 3.0], [0, 1, 2], [0, 0, 0], [1, 1, 1])
-        cut = s.slice_window(1.0, 3.0)
-        assert list(cut.t) == [1.0, 2.0]
+        assert s.window_indices(1.0, 3.0) == (0, 2)
 
     def test_merge(self):
         a = EventStream((4, 4), [1.0, 3.0], [0, 0], [0, 0], [1, 1])
@@ -75,15 +76,15 @@ class TestEventFrame:
         assert frame.counts.sum() == 0
 
     def test_direct_count(self):
-        events = [Event(float(t), 5, 7, 1) for t in (1, 2, 3)]
-        frame = make_event_frame(EventStream.from_events((10, 10), events), (0.0, 10.0))
+        s = EventStream((10, 10), [1.0, 2.0, 3.0], [5, 5, 5], [7, 7, 7], [1, 1, 1])
+        frame = make_event_frame(s, (0.0, 10.0))
         assert frame.counts[7, 5] == 3
-        assert frame.total == 3
+        assert frame.counts.sum() == 3
 
     def test_window_is_half_open(self):
         s = EventStream((4, 4), [1.0, 2.0], [0, 0], [0, 0], [1, 1])
         frame = make_event_frame(s, (1.0, 2.0))
-        assert frame.total == 1
+        assert frame.counts.sum() == 1
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -95,18 +96,18 @@ class TestEventFrame:
             s = random_stream(rng, (10, 10), 100)
             frame = make_event_frame(s, (250.0, 500.0))
             expected = sum(1 for e in s if 250.0 <= e.t < 500.0)
-            assert frame.total == expected
+            assert frame.counts.sum() == expected
 
 
 class TestTimeSurface:
     def test_keeps_latest(self):
-        events = [Event(10.0, 2, 2, 1), Event(20.0, 2, 2, 1), Event(30.0, 2, 2, 1)]
-        surf = make_time_surface(EventStream.from_events((4, 4), events), (0.0, 100.0))
+        s = EventStream((4, 4), [10.0, 20.0, 30.0], [2, 2, 2], [2, 2, 2], [1, 1, 1])
+        surf = make_time_surface(s, (0.0, 100.0))
         assert surf.last_t[2, 2] == 30.0
 
     def test_window_cut(self):
-        events = [Event(10.0, 2, 2, 1), Event(20.0, 2, 2, 1), Event(30.0, 2, 2, 1)]
-        surf = make_time_surface(EventStream.from_events((4, 4), events), (0.0, 25.0))
+        s = EventStream((4, 4), [10.0, 20.0, 30.0], [2, 2, 2], [2, 2, 2], [1, 1, 1])
+        surf = make_time_surface(s, (0.0, 25.0))
         assert surf.last_t[2, 2] == 20.0
 
     def test_no_event_marker(self):

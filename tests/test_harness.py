@@ -1,3 +1,4 @@
+import copy
 import textwrap
 from pathlib import Path
 
@@ -71,6 +72,34 @@ def scenario_yaml(tmp_path, **overrides):
     return path
 
 
+MINIMAL_CONFIG = {
+    "scene": {
+        "resolution": [8, 8],
+        "background": {"depth_m": 2.0},
+        "objects": [{"rect_px": [1, 1, 2, 2], "depth_m": 1.0}],
+    },
+    "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": 10.0},
+    "projector": {"scan_frequency_hz": 60.0},
+    "noise": {},
+    "policy": {"kind": "dense"},
+    "run": {"periods": 1},
+}
+
+
+def config_with(path, value):
+    """MINIMAL_CONFIG with the entry at ``path`` (a key/index tuple) set to ``value``."""
+    mapping = copy.deepcopy(MINIMAL_CONFIG)
+    *head, last = path
+    target = mapping
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return mapping
+
+
+RECT_MESSAGE = "scene.objects[0].rect_px: expected numbers x0, y0 and integers width, height >= 1, got "
+
+
 class TestScenarioConfig:
     def test_yaml_round_trip(self, tmp_path):
         sc = load_scenario(scenario_yaml(tmp_path))
@@ -118,6 +147,30 @@ class TestScenarioConfig:
                 "run": {"periods": 2},
             })
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("scene", "objects"), None, "scene.objects: expected a list, got None"),
+        (("scene", "objects", 0, "rect_px"), ["a", 1, 2, 3], RECT_MESSAGE + "['a', 1, 2, 3]"),
+        (("scene", "objects", 0, "rect_px"), [None, 1, 2, 3], RECT_MESSAGE + "[None, 1, 2, 3]"),
+        (("scene", "objects", 0, "rect_px"), [1, 1, 0, 3], RECT_MESSAGE + "[1, 1, 0, 3]"),
+        (("scene", "objects", 0, "rect_px"), [1, 1, 2.7, 3], RECT_MESSAGE + "[1, 1, 2.7, 3]"),
+        (("scene", "objects", 0, "rect_px"), [1, 1, 2], "scene.objects[0].rect_px: expected [x0, y0, width, height]"),
+        (("geometry", "cam_resolution"), [0, 8], "geometry: invalid cam_resolution (0, 8)"),
+        (("geometry", "cam_resolution"), [64.9, 48], "geometry.cam_resolution: expected integer pair, got [64.9, 48]"),
+        (("geometry", "cam_resolution"), [True, 48], "geometry.cam_resolution: expected integer pair, got [True, 48]"),
+        (("scene", "resolution"), [0, 8], "scene: invalid resolution (0, 8)"),
+        (("noise", "jitter_anchors"), [["a", 1]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
+        (("noise", "latency_us"), -1, "noise.latency_us: must be at least 0"),
+        (("policy",), {"kind": "sparse", "stride": 0}, "policy.stride: must be at least 1"),
+        (("policy",), {"kind": "sparse", "grid": 1}, "policy.grid: expected true/false, got 1"),
+        (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy.dilation_px: must be at least 0"),
+        (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
+         "policy.event_guided: median_kernel_px must be odd and >= 1"),
+    ])
+    def test_malformed_value_names_field(self, path, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(config_with(path, value))
+        assert str(info.value) == message
+
     def test_shipped_scenarios_load(self):
         for name in ("plane_compare", "moving_object", "stationary", "noiseless_plane"):
             sc = load_scenario(SCENARIOS / f"{name}.yaml")
@@ -156,6 +209,31 @@ class TestRunScenario:
         reports = run_scenario(sc)
         assert len(reports) == 2
         assert all(r.error is not None and "Degenerate" in r.error for r in reports)
+
+    def test_degenerate_period_keeps_metrics_and_dumps(self, tmp_path):
+        script = evsl.SceneScript((64, 1), 16666.666666666668, evsl.Background(2.0, 0.5))
+        geom = evsl.SensorGeometry((64, 1), (64, 1), 600.0, 0.04)
+        proj = evsl.ProjectorModel((64, 1), 60.0)
+        sc = Scenario(script, geom, proj, evsl.NoiseModel.noiseless(), evsl.DensePolicy(), periods=1)
+        (r,) = run_scenario(sc, dump=("events", "masks", "depth", "ply"), out_dir=tmp_path)
+        assert r.error == "DegenerateInputError: plane fit needs >= 3 non-collinear points"
+        assert r.plane_rms_m is None
+        assert r.mask_fraction == r.power_proxy == 1.0
+        assert r.valid_depth_pixels > 3
+        assert r.reflection_event_rate == r.valid_depth_pixels / (proj.period_us * 1e-6)
+        for name in ("guide_p000.txt", "reflect_p000.txt", "mask_p000.pbm", "depth_p000.pgm", "cloud_p000.ply"):
+            assert (tmp_path / name).exists()
+        assert (tmp_path / "periods.csv").read_text().splitlines()[1].endswith(
+            ",DegenerateInputError: plane fit needs >= 3 non-collinear points"
+        )
+
+    def test_programming_error_is_raised(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(harness, "reconstruct_depth", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            run_scenario(tiny_scenario())
 
     def test_period_count_and_indices(self):
         reports = run_scenario(tiny_scenario(periods=4))

@@ -9,7 +9,6 @@ from evsl.projector import (
     SENSOR_PRESETS,
     SensorGeometry,
     build_scan_plan,
-    get_preset,
     pixel_dwell_time,
     raster_event_rate,
     simulate_reflection_events,
@@ -66,11 +65,6 @@ class TestPresets:
             "Gen3_ATIS": (480, 360),
             "Gen4_CD": (1280, 720),
         }
-
-    def test_get_preset(self):
-        assert get_preset("Gen4_CD").resolution == (1280, 720)
-        with pytest.raises(KeyError):
-            get_preset("nope")
 
 
 class TestScanPlan:

@@ -224,7 +224,7 @@ def _full_frame_guide_events(script, camera, interval, seed=0):
     y = np.concatenate(ys_parts)
     p = np.concatenate(ps_parts)
     keep = t < t1  # a crossing exactly at the interval end belongs to the next window
-    return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep], sort=True)
+    return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep])
 
 
 def assert_same_stream(got, want):
