@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .events import make_event_frame
@@ -97,12 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args):
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.periods is not None:
-        scenario = replace(scenario, periods=args.periods)
-    return scenario
+    """The scenario file with ``--seed``/``--periods`` in its run section, checked like the file."""
+    overrides = {"seed": args.seed, "periods": args.periods}
+    return load_scenario(args.scenario, {k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:

@@ -1,0 +1,305 @@
+"""Scenario files: a field table per section and one reader for all of them.
+
+A section is a ``(build, fields)`` pair: ``fields`` maps each accepted key to
+a ``(check, default)`` row (``_REQUIRED`` marks a key without a default), and
+``build`` receives the checked values as keyword arguments. A check takes the
+field path and the value (the default when the key is absent) and returns the
+value to build with. Errors read ``<field path>: <problem>``.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+
+import yaml
+
+from .policy import DensePolicy, EventGuidedPolicy, Policy, SparsePolicy
+from .projector import DEFAULT_JITTER_ANCHORS, NoiseModel, ProjectorModel, SensorGeometry
+from .scene import Background, CheckerTexture, GuideCameraModel, MovingObject, SceneScript
+
+
+class ConfigError(ValueError):
+    """Scenario configuration problem; the message carries the field path."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    script: SceneScript
+    geometry: SensorGeometry
+    projector: ProjectorModel
+    noise: NoiseModel
+    policy: Policy
+    periods: int
+    guide_camera: GuideCameraModel = GuideCameraModel()
+    seed: int = 0
+    evaluate_plane: bool = True
+    out_dir: str | None = None
+    name: str = "scenario"
+
+    def __post_init__(self):
+        if self.periods < 1:
+            raise ConfigError("run.periods: must be >= 1")
+        needed = self.periods * self.projector.period_us
+        if self.script.duration_us + 1e-6 < needed:
+            raise ConfigError(
+                f"scene.duration_us: {self.script.duration_us} is shorter than "
+                f"{self.periods} scan periods ({needed:.3f} us)"
+            )
+
+
+_REQUIRED = object()
+
+
+def _read(spec, path: str, mapping):
+    """Check ``mapping`` against the section table ``spec`` and build the section."""
+    build, fields = spec
+    if mapping is None:
+        mapping = {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path or '<root>'}: expected a mapping")
+    values = {}
+    for key, (check, default) in fields.items():
+        key_path = f"{path}.{key}" if path else key
+        value = mapping.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{key_path}: missing required key")
+        values[key] = check(key_path, value)
+    unknown = sorted(f"{path}.{k}" if path else str(k) for k in mapping if k not in fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
+    try:
+        return build(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(minimum, exclusive=False, maximum=None):
+    def check(path, value):
+        if not _is_number(value):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        value = float(value)
+        if value <= minimum if exclusive else value < minimum:
+            raise ConfigError(f"{path}: must be {'greater than' if exclusive else 'at least'} {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{path}: must be at most {maximum}")
+        return value
+    return check
+
+
+def _integer(minimum):
+    def check(path, value):
+        if not _is_int(value):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be at least {minimum}")
+        return value
+    return check
+
+
+def _boolean(path, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true/false, got {value!r}")
+    return value
+
+
+def _choice(*choices):
+    def check(path, value):
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        if value not in choices:
+            raise ConfigError(f"{path}: must be one of {list(choices)}, got {value!r}")
+        return value
+    return check
+
+
+def _pair(integer):
+    kind, is_kind, convert = ("integer", _is_int, int) if integer else ("numeric", _is_number, float)
+
+    def check(path, value):
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"{path}: expected a pair [a, b], got {value!r}")
+        if not all(map(is_kind, value)):
+            raise ConfigError(f"{path}: expected {kind} pair, got {value!r}")
+        return tuple(map(convert, value))
+    return check
+
+
+def _path(path, value):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string path")
+    return value
+
+
+def _rect(path, value):
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{path}: expected [x0, y0, width, height]")
+    x0, y0, w, h = value
+    if not (_is_number(x0) and _is_number(y0) and _is_int(w) and _is_int(h) and w >= 1 and h >= 1):
+        raise ConfigError(f"{path}: expected numbers x0, y0 and integers width, height >= 1, got {value!r}")
+    return float(x0), float(y0), w, h
+
+
+def _anchor(path, value):
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+        raise ConfigError(f"{path}: expected [rate_mev_s, std_us]")
+    return tuple(map(float, value))
+
+
+def _list_of(item, absent=_REQUIRED):
+    """A list whose entries pass ``item``; ``null`` gives ``absent`` where one is set."""
+    def check(path, value):
+        if value is None and absent is not _REQUIRED:
+            return absent
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(item(f"{path}[{i}]", entry) for i, entry in enumerate(value))
+    return check
+
+
+def _section(spec, absent=_REQUIRED):
+    """A nested section; a missing or ``null`` one gives ``absent`` where one is set."""
+    def check(path, value):
+        if value is not None:
+            return _read(spec, path, value)
+        if absent is _REQUIRED:
+            raise ConfigError(f"{path}: missing required section")
+        return absent
+    return check
+
+
+def _policy(path, value):
+    """The policy section: ``kind`` picks the dataclass and the other keys it takes.
+
+    A constructor error is prefixed with the kind, e.g. ``policy.event_guided: ...``.
+    """
+    kind = value.get("kind") if isinstance(value, dict) else None
+    build, fields = _POLICIES[kind if kind in _POLICY_KINDS else "dense"]
+
+    def build_policy(kind, **values):
+        try:
+            return build(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{kind}: {exc}") from None
+
+    spec = (build_policy, {"kind": (_choice(*_POLICY_KINDS), _REQUIRED), **fields})
+    return _section(spec)(path, value)
+
+
+_POSITIVE = _number(0, exclusive=True)
+_NON_NEGATIVE = _number(0)
+_UNIT = _number(0, exclusive=True, maximum=1.0)  # intensities lie in (0, 1]
+
+_TEXTURE = (lambda kind, **values: CheckerTexture(**values), {
+    "kind": (_choice("checker"), _REQUIRED),
+    "tile_px": (_integer(1), 16),
+    "low": (_UNIT, 0.4),
+    "high": (_UNIT, 0.6),
+})
+
+_BACKGROUND = (lambda texture, **values: Background(checker=texture, **values), {
+    "texture": (_section(_TEXTURE, absent=None), None),
+    "depth_m": (_POSITIVE, _REQUIRED),
+    "intensity": (_UNIT, 0.5),
+})
+
+_OBJECT = (
+    lambda rect_px, velocity_px_per_us, **values: MovingObject(*rect_px, velocity=velocity_px_per_us, **values),
+    {
+        "rect_px": (_rect, _REQUIRED),
+        "velocity_px_per_us": (_pair(integer=False), [0, 0]),
+        "depth_m": (_POSITIVE, _REQUIRED),
+        "intensity": (_UNIT, 0.9),
+    },
+)
+
+_SCENE_FIELDS = {
+    "resolution": (_pair(integer=True), _REQUIRED),
+    "duration_us": (_NON_NEGATIVE, _REQUIRED),  # parse_scenario supplies run.periods scan periods
+    "background": (_section(_BACKGROUND), None),
+    "objects": (_list_of(partial(_read, _OBJECT)), []),
+}
+
+_POLICIES = {
+    "dense": (DensePolicy, {}),
+    "sparse": (SparsePolicy, {
+        "stride": (_integer(1), 16),
+        "grid": (_boolean, False),
+    }),
+    "event_guided": (EventGuidedPolicy, {
+        "median_kernel_px": (_integer(1), 3),
+        "active_threshold": (_integer(1), 1),
+        "min_area_px": (_integer(1), 4),
+        "dilation_px": (_integer(0), 4),
+        "background_stride": (_integer(1), 16),
+        "first_period": (_choice("dense", "sparse"), "dense"),
+    }),
+}
+_POLICY_KINDS = tuple(_POLICIES)  # compared by ==: a YAML list or mapping is not hashable
+
+_SCENARIO = (dict, {
+    "run": (_section((dict, {
+        "periods": (_integer(1), 1),
+        "seed": (_integer(0), 0),
+        "evaluate_plane": (_boolean, True),
+        "out_dir": (_path, None),
+    })), None),
+    "projector": (_section((dict, {
+        "scan_frequency_hz": (_POSITIVE, 60.0),
+    })), None),
+    "geometry": (_section((SensorGeometry, {
+        "cam_resolution": (_pair(integer=True), _REQUIRED),
+        "proj_resolution": (_pair(integer=True), _REQUIRED),
+        "focal_length_px": (_POSITIVE, _REQUIRED),
+        "baseline_m": (_POSITIVE, 0.04),
+    })), None),
+    "guide_camera": (_section((GuideCameraModel, {
+        "contrast_threshold": (_POSITIVE, 0.3),
+        "render_rate_hz": (_POSITIVE, 1000.0),
+        "noise_rate_hz": (_NON_NEGATIVE, 0.0),
+    }), absent=GuideCameraModel()), None),
+    "noise": (_section((NoiseModel, {
+        "latency_us": (_NON_NEGATIVE, 0.0),
+        "jitter_anchors": (_list_of(_anchor, absent=DEFAULT_JITTER_ANCHORS), None),
+        "drop_probability": (_NON_NEGATIVE, 0.0),
+        "quantization_us": (_NON_NEGATIVE, 1.0),
+    }), absent=NoiseModel()), None),
+    "policy": (_policy, None),
+    "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration default needs run and projector
+})
+
+
+def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
+    sections = _read(_SCENARIO, "", mapping)
+    run, geometry = sections["run"], sections["geometry"]
+    projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
+    duration = (_NON_NEGATIVE, run["periods"] * projector.period_us)
+    script = _read((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}), "scene", sections["scene"])
+    return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
+                    guide_camera=sections["guide_camera"], name=name, **run)
+
+
+def load_scenario(path: str | os.PathLike, run_overrides: dict | None = None) -> Scenario:
+    """Load a scenario file; ``run_overrides`` replace keys of its run section before the checks."""
+    p = Path(path)
+    try:
+        mapping = yaml.safe_load(p.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{p}: invalid YAML ({exc})") from None
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{p}: scenario file must contain a mapping")
+    if run_overrides and isinstance(mapping.get("run"), dict):
+        mapping["run"] = {**mapping["run"], **run_overrides}
+    return parse_scenario(mapping, name=p.stem)

@@ -406,8 +406,26 @@ class TestCli:
 
     def test_seed_override_changes_output(self, tmp_path):
         path = scenario_yaml(tmp_path)
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        cli_main(["simulate", str(path), "--out-dir", str(a), "--seed", "1"])
-        cli_main(["simulate", str(path), "--out-dir", str(b), "--seed", "1"])
-        assert (a / "periods.csv").read_bytes() == (b / "periods.csv").read_bytes()
+        # default timing noise (jitter and clock), so the seed reaches the output
+        path.write_text(path.read_text().replace("  jitter_anchors: []\n  quantization_us: 0.0\n", ""))
+        runs = {}
+        for name, extra in (("file", []), ("a", ["--seed", "1"]), ("b", ["--seed", "1"])):
+            assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / name), *extra]) == 0
+            runs[name] = (tmp_path / name / "periods.csv").read_bytes()
+        assert runs["a"] == runs["b"]
+        assert runs["a"] != runs["file"]
+
+    def test_periods_override_sets_default_duration(self, tmp_path, capsys):
+        # the file sets no scene.duration_us, so it follows the overridden period count
+        path = scenario_yaml(tmp_path)
+        assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), "--periods", "8"]) == 0
+        assert "ran 8 scan period(s)" in capsys.readouterr().out
+        assert len((tmp_path / "out" / "periods.csv").read_text().splitlines()) == 1 + 8
+
+    @pytest.mark.parametrize("command", ["simulate", "compare-sampling"])
+    def test_overrides_checked_like_the_file(self, tmp_path, capsys, command):
+        path = scenario_yaml(tmp_path)
+        assert cli_main([command, str(path), "--out-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: run.seed: must be at least 0\n"
+        assert cli_main([command, str(path), "--periods", "0"]) == 2
+        assert capsys.readouterr().err == "error: run.periods: must be at least 1\n"
