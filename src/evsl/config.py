@@ -181,20 +181,10 @@ def _section(spec, absent=_REQUIRED):
 
 
 def _policy(path, value):
-    """The policy section: ``kind`` picks the dataclass and the other keys it takes.
-
-    A constructor error is prefixed with the kind, e.g. ``policy.event_guided: ...``.
-    """
+    """The policy section: ``kind`` picks the dataclass and the other keys it takes."""
     kind = value.get("kind") if isinstance(value, dict) else None
     build, fields = _POLICIES[kind if kind in _POLICY_KINDS else "dense"]
-
-    def build_policy(kind, **values):
-        try:
-            return build(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.{kind}: {exc}") from None
-
-    spec = (build_policy, {"kind": (_choice(*_POLICY_KINDS), _REQUIRED), **fields})
+    spec = (lambda kind, **values: build(**values), {"kind": (_choice(*_POLICY_KINDS), _REQUIRED), **fields})
     return _section(spec)(path, value)
 
 
@@ -286,7 +276,7 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     run, geometry = sections["run"], sections["geometry"]
     projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
     duration = (_NON_NEGATIVE, run["periods"] * projector.period_us)
-    script = _read((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}), "scene", sections["scene"])
+    script = _section((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}))("scene", sections["scene"])
     return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
                     guide_camera=sections["guide_camera"], name=name, **run)
 

@@ -4,7 +4,8 @@ The event-guided policy turns guide-camera activity into projector regions
 of interest: median-filter the event frame, binarize, extract 8-connected
 components, and dilate each component's bounding box. Pixels inside a region
 are scanned densely; the rest of the field of view keeps a sparse background
-stride.
+stride. Guide events cover a small part of the frame, so the median and the
+labelling work on the pixels near events and on the active pixels only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import EventFrame
 
@@ -108,17 +109,35 @@ class RoiSet:
         return len(self.boxes)
 
 
+_MEDIAN_CHUNK = 1 << 14  # candidates per gather: bounds the k*k copies on a busy frame
+
+
 def median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
-    """Median of the k x k count neighborhood per pixel; borders zero-padded."""
+    """Median of the k x k count neighborhood per pixel; borders zero-padded.
+
+    Only pixels within k // 2 of a nonzero count are visited: every other
+    pixel sees an all-zero neighborhood, so its median is 0.
+    """
     if kernel_px < 1 or kernel_px % 2 == 0:
         raise ValueError("kernel size must be odd and >= 1")
     if kernel_px == 1:
         return frame
-    filtered = ndimage.median_filter(frame.counts, size=kernel_px, mode="constant", cval=0)
+    k, r = kernel_px, kernel_px // 2
+    h, w = frame.counts.shape
+    padded = np.zeros((h + 2 * r, w + 2 * r), dtype=frame.counts.dtype)
+    padded[r:r + h, r:r + w] = frame.counts
+    nonzero = padded != 0
+    near = np.zeros((h, w), dtype=bool)
+    for dy, dx in np.ndindex(k, k):
+        near |= nonzero[dy:dy + h, dx:dx + w]
+    ys, xs = np.nonzero(near)
+    windows = sliding_window_view(padded, (k, k))
+    filtered = np.zeros_like(frame.counts)
+    for i in range(0, len(ys), _MEDIAN_CHUNK):
+        y, x = ys[i:i + _MEDIAN_CHUNK], xs[i:i + _MEDIAN_CHUNK]
+        values = windows[y, x].reshape(len(y), k * k)
+        filtered[y, x] = np.partition(values, k * k // 2, axis=1)[:, k * k // 2]
     return EventFrame(frame.resolution, filtered, frame.window)
-
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 def detect_roi(
@@ -130,38 +149,55 @@ def detect_roi(
     """Bounding boxes of 8-connected active components, dilated and clipped.
 
     A pixel is active when its count reaches ``active_threshold``; components
-    smaller than ``min_area_px`` are discarded as specks.
+    smaller than ``min_area_px`` are discarded as specks. Only active pixels
+    are visited: each is linked to its active right, lower-left, lower and
+    lower-right neighbours, and every component takes the smallest raster
+    index among its pixels as its label (minimum-label hooking with pointer
+    jumping). Boxes come out in the raster order of each component's first
+    pixel.
     """
     if active_threshold < 1:
         raise ValueError("active_threshold must be >= 1")
     w, h = frame.resolution
-    binary = frame.counts >= active_threshold
-    labels, n = ndimage.label(binary, structure=_EIGHT_CONNECTED)
-    if n == 0:
+    active = np.flatnonzero(frame.counts >= active_threshold)
+    if active.size == 0:
         return RoiSet(())
-    areas = np.bincount(labels.ravel(), minlength=n + 1)
-    boxes = []
-    for label, sl in enumerate(ndimage.find_objects(labels), start=1):
-        if sl is None or areas[label] < min_area_px:
-            continue
-        ys, xs = sl
-        boxes.append((
-            max(xs.start - dilation_px, 0),
-            max(ys.start - dilation_px, 0),
-            min(xs.stop - 1 + dilation_px, w - 1),
-            min(ys.stop - 1 + dilation_px, h - 1),
-        ))
-    return RoiSet(tuple(boxes))
+    ys, xs = np.divmod(active, w)
+    ends = []
+    for offset, in_row in ((1, xs < w - 1), (w - 1, xs > 0), (w, True), (w + 1, xs < w - 1)):
+        pos = np.searchsorted(active, active + offset)
+        hit = (pos < active.size) & in_row
+        hit[hit] = active[pos[hit]] == active[hit] + offset
+        ends.append((np.flatnonzero(hit), pos[hit]))
+    a, b = (np.concatenate(e) for e in zip(*ends))
+    root = np.arange(active.size)
+    while not np.array_equal(ra := root[a], rb := root[b]):
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    first, comp = np.unique(root, return_inverse=True)
+    x0, x1, y1 = np.full(first.size, w), np.zeros(first.size, int), np.zeros(first.size, int)
+    np.minimum.at(x0, comp, xs)
+    np.maximum.at(x1, comp, xs)
+    np.maximum.at(y1, comp, ys)
+    keep = np.bincount(comp) >= min_area_px
+    boxes = np.stack([
+        np.maximum(x0 - dilation_px, 0),
+        np.maximum(ys[first] - dilation_px, 0),
+        np.minimum(x1 + dilation_px, w - 1),
+        np.minimum(y1 + dilation_px, h - 1),
+    ], axis=1)[keep]
+    return RoiSet(tuple(map(tuple, boxes.tolist())))
 
 
 def _stride_mask(resolution: tuple[int, int], stride: int, grid: bool = False) -> np.ndarray:
     w, h = resolution
+    on = np.zeros((h, w), dtype=bool)
     if grid:
-        on = np.zeros((h, w), dtype=bool)
         on[::stride, ::stride] = True
-        return on
-    flat = np.arange(w * h) % stride == 0
-    return flat.reshape(h, w)
+    else:
+        on.reshape(-1)[::stride] = True
+    return on
 
 
 def scale_roi(box: tuple[int, int, int, int], scale: tuple[float, float], resolution: tuple[int, int]):

@@ -164,7 +164,7 @@ class TestScenarioConfig:
         (("policy",), {"kind": "sparse", "grid": 1}, "policy.grid: expected true/false, got 1"),
         (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy.dilation_px: must be at least 0"),
         (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
-         "policy.event_guided: median_kernel_px must be odd and >= 1"),
+         "policy: median_kernel_px must be odd and >= 1"),
     ])
     def test_malformed_value_names_field(self, path, value, message):
         with pytest.raises(ConfigError) as info:

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from evsl.events import EventFrame
+from evsl import harness
+from evsl.events import EventFrame, make_event_frame
 from evsl.policy import (
     DensePolicy,
     EventGuidedPolicy,
@@ -55,6 +61,57 @@ def components_oracle(binary):
                                 stack.append((ny, nx))
                 comps.append(pixels)
     return comps
+
+
+# --------------------------------------------------------------------------
+# Oracle: the scipy mask stage that median_filter_frame and detect_roi
+# replaced, verbatim
+# --------------------------------------------------------------------------
+
+def scipy_median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
+    """Median of the k x k count neighborhood per pixel; borders zero-padded."""
+    if kernel_px < 1 or kernel_px % 2 == 0:
+        raise ValueError("kernel size must be odd and >= 1")
+    if kernel_px == 1:
+        return frame
+    filtered = ndimage.median_filter(frame.counts, size=kernel_px, mode="constant", cval=0)
+    return EventFrame(frame.resolution, filtered, frame.window)
+
+
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+
+
+def scipy_detect_roi(
+    frame: EventFrame,
+    active_threshold: int = 1,
+    min_area_px: int = 1,
+    dilation_px: int = 0,
+) -> RoiSet:
+    """Bounding boxes of 8-connected active components, dilated and clipped.
+
+    A pixel is active when its count reaches ``active_threshold``; components
+    smaller than ``min_area_px`` are discarded as specks.
+    """
+    if active_threshold < 1:
+        raise ValueError("active_threshold must be >= 1")
+    w, h = frame.resolution
+    binary = frame.counts >= active_threshold
+    labels, n = ndimage.label(binary, structure=_EIGHT_CONNECTED)
+    if n == 0:
+        return RoiSet(())
+    areas = np.bincount(labels.ravel(), minlength=n + 1)
+    boxes = []
+    for label, sl in enumerate(ndimage.find_objects(labels), start=1):
+        if sl is None or areas[label] < min_area_px:
+            continue
+        ys, xs = sl
+        boxes.append((
+            max(xs.start - dilation_px, 0),
+            max(ys.start - dilation_px, 0),
+            min(xs.stop - 1 + dilation_px, w - 1),
+            min(ys.stop - 1 + dilation_px, h - 1),
+        ))
+    return RoiSet(tuple(boxes))
 
 
 class TestMedianFilter:
@@ -146,6 +203,108 @@ class TestDetectRoi:
         counts[0, 0] = 1
         rois = detect_roi(frame_of(counts), 1, 1, 3)
         assert rois.boxes == ((0, 0, 3, 3),)
+
+
+@st.composite
+def count_frames(draw, max_side=24):
+    """Frames from empty to fully active, with counts 1-4 where active."""
+    h = draw(st.integers(1, max_side), label="height")
+    w = draw(st.integers(1, max_side), label="width")
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.25, 0.5, 0.8, 1.0]), label="density")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+    return frame_of((rng.random((h, w)) < density) * rng.integers(1, 5, (h, w)))
+
+
+def serpentine(h, w):
+    """Every other row active, joined at alternating ends: one long path."""
+    counts = np.zeros((h, w), dtype=np.int64)
+    counts[::2] = 1
+    counts[1::4, -1] = 1
+    counts[3::4, 0] = 1
+    return counts
+
+
+def spiral(n):
+    """A one-pixel-wide square spiral walked inward from the top-left corner."""
+    counts = np.zeros((n, n), dtype=np.int64)
+    y, x, dy, dx = 0, 0, 0, 1
+    counts[y, x] = 1
+    while True:
+        for _ in range(2):  # straight on, else turn right
+            ny, nx, fy, fx = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+            inside = 0 <= ny < n and 0 <= nx < n
+            blocked = 0 <= fy < n and 0 <= fx < n and counts[fy, fx]
+            if inside and not counts[ny, nx] and not blocked:
+                break
+            dy, dx = dx, -dy
+        else:
+            return counts
+        y, x = ny, nx
+        counts[y, x] = 1
+
+
+def border_clusters(h, w):
+    """Two-pixel clusters on every corner and the middle of every edge."""
+    counts = np.zeros((h, w), dtype=np.int64)
+    for y in (0, h // 2, h - 1):
+        for x in (0, w // 2, w - 1):
+            if (y, x) != (h // 2, w // 2):
+                counts[y, x] = 2
+                counts[min(y + 1, h - 1) if y == 0 else y - 1, x] = 3
+    return counts
+
+
+SHAPES = {
+    "empty": np.zeros((9, 13), dtype=np.int64),
+    "full": np.full((9, 13), 2, dtype=np.int64),
+    "serpentine": serpentine(41, 37),
+    "spiral": spiral(40),
+    "border_clusters": border_clusters(15, 22),
+    # more median candidates than one gather of median_filter_frame takes
+    "busy": (np.random.default_rng(4).random((150, 140)) < 0.6) * np.random.default_rng(5).integers(1, 4, (150, 140)),
+}
+
+
+class TestMaskStageMatchesScipy:
+    """median_filter_frame and detect_roi against the scipy calls they replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(frame=count_frames(), k=st.sampled_from([1, 3, 5, 7]))
+    def test_median_property(self, frame, k):
+        got, want = median_filter_frame(frame, k), scipy_median_filter_frame(frame, k)
+        assert got.resolution == want.resolution and got.window == want.window
+        assert np.array_equal(got.counts, want.counts)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(frame=count_frames(), threshold=st.integers(1, 3), min_area=st.integers(1, 8),
+           dilation=st.integers(0, 5))
+    def test_roi_property(self, frame, threshold, min_area, dilation):
+        got = detect_roi(frame, threshold, min_area, dilation)
+        assert got.boxes == scipy_detect_roi(frame, threshold, min_area, dilation).boxes
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_shapes(self, shape, k):
+        frame = frame_of(SHAPES[shape])
+        filtered = median_filter_frame(frame, k)
+        assert np.array_equal(filtered.counts, scipy_median_filter_frame(frame, k).counts)
+        for target in (frame, filtered):
+            for threshold, min_area, dilation in ((1, 1, 0), (2, 3, 2), (3, 1, 30), (1, 200, 1)):
+                got = detect_roi(target, threshold, min_area, dilation)
+                assert got.boxes == scipy_detect_roi(target, threshold, min_area, dilation).boxes
+
+    @pytest.mark.parametrize("name", ["moving_object", "plane_compare"])
+    def test_every_guide_frame_of_bundled_scenario(self, name):
+        scenario = harness.load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.yaml")
+        policy = scenario.policy
+        args = (policy.active_threshold, policy.min_area_px, policy.dilation_px)
+        windows = harness._period_windows(scenario)
+        for stream, window in zip(harness._guide_streams(scenario, parallel=False), windows):
+            frame = make_event_frame(stream, window)
+            filtered = median_filter_frame(frame, policy.median_kernel_px)
+            want = scipy_median_filter_frame(frame, policy.median_kernel_px)
+            assert np.array_equal(filtered.counts, want.counts)
+            assert detect_roi(filtered, *args).boxes == scipy_detect_roi(want, *args).boxes
 
 
 class TestBuildMask:
