@@ -26,7 +26,7 @@ from .harness import (
 )
 from .policy import active_pixel_fraction
 
-_PARALLEL_HELP = "compute every period's guide events on a 2-worker thread pool first (identical output)"
+_PARALLEL_HELP = "run the guide stage, then whole periods, on a 2-worker thread pool (identical output)"
 
 
 def _add_sweep_args(sub: argparse.ArgumentParser) -> None:

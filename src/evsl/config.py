@@ -56,8 +56,6 @@ _REQUIRED = object()
 def _read(spec, path: str, mapping):
     """Check ``mapping`` against the section table ``spec`` and build the section."""
     build, fields = spec
-    if mapping is None:
-        mapping = {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path or '<root>'}: expected a mapping")
     values = {}

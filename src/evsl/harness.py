@@ -5,48 +5,37 @@ one camera-projector rig and one sampling policy, then steps through scan
 periods. Guide events observed during period p-1 choose the illumination mask
 for period p (the tightest causal choice); the first period falls back to a
 dense or sparse mask per the policy config. Everything downstream of the seed
-is deterministic, and all cross-stage handoff is by immutable value. With
-``parallel=True`` a 2-worker thread pool computes every period's guide events
-before the period loop starts; the output is byte-identical to the serial
-path.
+is deterministic, and all cross-stage handoff is by immutable value.
+
+A period has a policy-independent guide stage (:func:`_guide_period`) and a
+period stage (:func:`run_period`, mask to plane fit). With ``parallel=True`` a
+2-worker thread pool runs the guide stage of every period, then whole periods;
+the output is byte-identical to the serial path.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario, parse_scenario  # the loaders are re-exported
-from .depth import DegenerateInputError, depth_to_points, fit_plane, reconstruct_depth
-from .events import DepthMap, EventFrame, EventStream, make_event_frame, make_time_surface
-from .formats import (
-    write_csv,
-    write_depth_pgm,
-    write_event_stream,
-    write_pbm,
-    write_ply,
-)
+from .depth import DegenerateInputError, PointCloud, depth_to_points, fit_plane, reconstruct_depth
+from .events import DepthMap, EventStream, make_event_frame, make_time_surface
+from .formats import write_csv, write_depth_pgm, write_event_stream, write_pbm, write_ply
 from .policy import (
-    DensePolicy,
-    EventGuidedPolicy,
-    SparsePolicy,
-    active_pixel_fraction,
-    build_mask,
-    detect_roi,
-    median_filter_frame,
+    DensePolicy, EventGuidedPolicy, IlluminationMask, RoiSet, SparsePolicy,
+    active_pixel_fraction, build_mask, detect_roi, median_filter_frame,
 )
 from .projector import (
-    SensorPreset,
-    SENSOR_PRESETS,
-    build_scan_plan,
-    pixel_dwell_time,
-    raster_event_rate,
-    simulate_reflection_events,
+    SENSOR_PRESETS, SensorPreset, build_scan_plan, pixel_dwell_time, raster_event_rate, simulate_reflection_events,
 )
 from .scene import generate_guide_events, render_scene
 
@@ -72,15 +61,8 @@ class PeriodReport:
 
 
 PERIOD_CSV_HEADER = [
-    "period",
-    "active_pixel_fraction",
-    "mask_fraction",
-    "guide_event_rate_ev_s",
-    "reflection_event_rate_ev_s",
-    "valid_depth_pixels",
-    "plane_rms_m",
-    "power_proxy",
-    "error",
+    "period", "active_pixel_fraction", "mask_fraction", "guide_event_rate_ev_s", "reflection_event_rate_ev_s",
+    "valid_depth_pixels", "plane_rms_m", "power_proxy", "error",
 ]
 
 
@@ -99,20 +81,119 @@ def _resample_depth(depth_map: DepthMap, resolution: tuple[int, int]) -> DepthMa
     return DepthMap(resolution, depth_map.depth[np.ix_(ys, xs)], depth_map.valid[np.ix_(ys, xs)])
 
 
-def _mask_for_period(scenario: Scenario, prev_frame: EventFrame | None):
-    """Illumination mask from the guide frame of the previous period (None in period 0)."""
+@dataclass(frozen=True)
+class PeriodResult:
+    """What the reports and dumps use of one period's stage outputs."""
+
+    report: PeriodReport
+    mask: IlluminationMask
+    reflection: EventStream
+    depth: DepthMap
+    cloud: PointCloud | None  # None unless the plane fit needed it
+
+
+def generate_guide_for(scenario: Scenario, window: tuple[float, float], period: int) -> EventStream:
+    return generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + period)
+
+
+def _window(scenario: Scenario, p: int) -> tuple[float, float]:
+    """Half-open ``[t0, t1)`` window of scan period ``p``, in microseconds."""
+    return p * scenario.projector.period_us, (p + 1) * scenario.projector.period_us
+
+
+def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSet | None]:
+    """Guide stream of period ``p``, its active-pixel fraction, and the event-guided
+    ROIs that the next period's mask uses (None where there is none); the frame is not kept."""
+    window = _window(scenario, p)
+    stream = generate_guide_for(scenario, window, p)
+    frame = make_event_frame(stream, window)
+    policy = scenario.policy
+    guided = isinstance(policy, EventGuidedPolicy)
+    active = active_pixel_fraction(frame, policy.active_threshold if guided else 1)
+    if not guided or p + 1 == scenario.periods:
+        return stream, active, None
+    filtered = median_filter_frame(frame, policy.median_kernel_px)
+    return stream, active, detect_roi(filtered, policy.active_threshold, policy.min_area_px, policy.dilation_px)
+
+
+def _mask_for_period(scenario: Scenario, prev_rois: RoiSet | None):
+    """Illumination mask from the previous period's guide ROIs (None in period 0)."""
     policy = scenario.policy
     proj_res = scenario.projector.resolution
     if isinstance(policy, (DensePolicy, SparsePolicy)):
         return build_mask(policy, proj_res)
-    if prev_frame is None:
+    if prev_rois is None:
         fallback = DensePolicy() if policy.first_period == "dense" else SparsePolicy(policy.background_stride)
         return build_mask(fallback, proj_res)
-    filtered = median_filter_frame(prev_frame, policy.median_kernel_px)
-    rois = detect_roi(filtered, policy.active_threshold, policy.min_area_px, policy.dilation_px)
     scene_w, scene_h = scenario.script.resolution
     scale = (proj_res[0] / scene_w, proj_res[1] / scene_h)
-    return build_mask(policy, proj_res, rois, scale)
+    return build_mask(policy, proj_res, prev_rois, scale)
+
+
+def run_period(
+    variants: Sequence[Scenario], p: int, guide: EventStream, active: float, prev_rois: RoiSet | None
+) -> list[PeriodResult]:
+    """Period ``p`` of one scene under each policy variant, rendered once at mid-period.
+
+    Each variant runs mask, scan plan and reflection, then, with the render
+    freed, time surface, decode and plane fit. ``guide`` and ``active`` come
+    from this period's guide stage, ``prev_rois`` from the previous one's.
+    """
+    scene = variants[0]
+    w0, w1 = window = _window(scene, p)
+    proj_depth = _resample_depth(render_scene(scene.script, (w0 + w1) / 2.0)[1], scene.projector.resolution)
+    scans = []
+    for scenario in variants:
+        mask = _mask_for_period(scenario, prev_rois)
+        plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
+        noise = replace(scenario.noise, seed=scenario.seed)
+        scans.append((mask, simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)[0]))
+    del proj_depth, plan  # two periods may be in flight: free what the decode does not use
+
+    period_s = scene.projector.period_us * 1e-6
+    results = []
+    for scenario, (mask, reflection) in zip(variants, scans):
+        depth_map, _ = reconstruct_depth(make_time_surface(reflection, window),
+                                         scenario.geometry, scenario.projector, w0)
+        plane_rms = error = cloud = None
+        if scenario.evaluate_plane and depth_map.valid_count >= 3:
+            cloud = depth_to_points(depth_map, scenario.geometry)
+            try:
+                plane_rms = fit_plane(cloud).rms
+            except DegenerateInputError as exc:  # record the failure and keep scanning
+                error = f"{type(exc).__name__}: {exc}"
+        report = PeriodReport(
+            period=p, active_pixel_fraction=active, mask_fraction=mask.fraction,
+            guide_event_rate=len(guide) / period_s, reflection_event_rate=len(reflection) / period_s,
+            valid_depth_pixels=depth_map.valid_count, plane_rms_m=plane_rms, power_proxy=mask.fraction, error=error,
+        )
+        results.append(PeriodResult(report, mask, reflection, depth_map, cloud))
+    return results
+
+
+def _in_order(submit, fn, *iterables) -> Iterator:
+    """``map`` through ``submit``, in order, with at most two calls submitted ahead of the consumer."""
+    ahead = deque()
+    for args in zip(*iterables):
+        ahead.append(submit(fn, *args))
+        if len(ahead) > 2:
+            yield ahead.popleft().result()
+    yield from (future.result() for future in ahead)
+
+
+def _run_periods(variants: Sequence[Scenario], parallel: bool) -> Iterator[tuple[EventStream, list[PeriodResult]]]:
+    """Yield each period's guide stream and its results under every variant, in period order.
+
+    The guide stage runs once, under the last variant. With ``parallel`` one
+    2-worker thread pool runs the guide stage of every period and then whole
+    periods; it stays two periods ahead, so finished periods do not pile up.
+    """
+    last = variants[-1]
+    periods = range(last.periods)
+    with (ThreadPoolExecutor(max_workers=2) if parallel else nullcontext()) as pool:
+        run = partial(_in_order, pool.submit) if parallel else map
+        streams, actives, rois = zip(*run(partial(_guide_period, last), periods))
+        yield from zip(streams, run(partial(run_period, variants), periods, streams, actives, (None, *rois[:-1])))
 
 
 def run_scenario(
@@ -120,16 +201,13 @@ def run_scenario(
     parallel: bool = False,
     dump: Iterable[str] = (),
     out_dir: str | os.PathLike | None = None,
-    guide_streams: Sequence[EventStream] | None = None,
 ) -> list[PeriodReport]:
     """Run every scan period and return one report each.
 
     ``dump`` may contain any of "events", "masks", "depth", "ply"; artifacts
-    land in ``out_dir`` (which also receives periods.csv when set). With
-    ``parallel=True`` the guide events of every period are computed on a
-    2-worker thread pool before the period loop starts; outputs are identical
-    either way. ``guide_streams`` lets callers share precomputed guide events
-    across runs of the same scene; ``parallel`` is then unused.
+    land in ``out_dir`` (which also receives periods.csv when set), in period
+    order. With ``parallel=True`` a 2-worker thread pool runs the guide stage
+    of every period and then whole periods; outputs are identical either way.
     """
     dump = frozenset(dump)
     unknown = dump - {"events", "masks", "depth", "ply"}
@@ -139,92 +217,26 @@ def run_scenario(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    windows = _period_windows(scenario)
-    if guide_streams is None:
-        guide_streams = _guide_streams(scenario, parallel)
-    elif len(guide_streams) < scenario.periods:
-        raise ValueError("guide_streams must cover every period")
-
-    noise = replace(scenario.noise, seed=scenario.seed)
-    active_threshold = (
-        scenario.policy.active_threshold if isinstance(scenario.policy, EventGuidedPolicy) else 1
-    )
-
-    period_s = scenario.projector.period_us * 1e-6
     reports: list[PeriodReport] = []
-    prev_frame = None
-    for p, (w0, w1) in enumerate(windows):
-        guide_frame = make_event_frame(guide_streams[p], (w0, w1))
-        guide_rate = len(guide_streams[p]) / period_s
-        active = active_pixel_fraction(guide_frame, active_threshold)
-        mask = _mask_for_period(scenario, prev_frame)
-        prev_frame = guide_frame
-        plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
-        _, scene_depth = render_scene(scenario.script, (w0 + w1) / 2.0)
-        proj_depth = _resample_depth(scene_depth, scenario.projector.resolution)
-        reflection, _ = simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)
-        surface = make_time_surface(reflection, (w0, w1))
-        depth_map, _ = reconstruct_depth(surface, scenario.geometry, scenario.projector, w0)
-
-        plane_rms = None
-        error = None
-        cloud = None
-        if scenario.evaluate_plane and depth_map.valid_count >= 3:
-            cloud = depth_to_points(depth_map, scenario.geometry)
-            try:
-                plane_rms = fit_plane(cloud).rms
-            except DegenerateInputError as exc:  # record the failure and keep scanning
-                error = f"{type(exc).__name__}: {exc}"
-
-        reports.append(PeriodReport(
-            period=p,
-            active_pixel_fraction=active,
-            mask_fraction=mask.fraction,
-            guide_event_rate=guide_rate,
-            reflection_event_rate=len(reflection) / period_s,
-            valid_depth_pixels=depth_map.valid_count,
-            plane_rms_m=plane_rms,
-            power_proxy=mask.fraction,
-            error=error,
-        ))
-
-        if out_path is not None:
-            tag = f"p{p:03d}"
-            if "events" in dump:
-                write_event_stream(guide_streams[p], out_path / f"guide_{tag}.txt")
-                write_event_stream(reflection, out_path / f"reflect_{tag}.txt")
-            if "masks" in dump:
-                write_pbm(out_path / f"mask_{tag}.pbm", mask)
-            if "depth" in dump:
-                write_depth_pgm(out_path / f"depth_{tag}.pgm", depth_map)
-            if "ply" in dump:
-                if cloud is None:
-                    cloud = depth_to_points(depth_map, scenario.geometry)
-                write_ply(out_path / f"cloud_{tag}.ply", cloud)
+    for p, (guide, (result,)) in enumerate(_run_periods([scenario], parallel)):
+        reports.append(result.report)
+        if out_path is None:
+            continue
+        tag = f"p{p:03d}"
+        if "events" in dump:
+            write_event_stream(guide, out_path / f"guide_{tag}.txt")
+            write_event_stream(result.reflection, out_path / f"reflect_{tag}.txt")
+        if "masks" in dump:
+            write_pbm(out_path / f"mask_{tag}.pbm", result.mask)
+        if "depth" in dump:
+            write_depth_pgm(out_path / f"depth_{tag}.pgm", result.depth)
+        if "ply" in dump:
+            cloud = result.cloud if result.cloud is not None else depth_to_points(result.depth, scenario.geometry)
+            write_ply(out_path / f"cloud_{tag}.ply", cloud)
 
     if out_path is not None:
         write_period_csv(reports, out_path / "periods.csv")
     return reports
-
-
-def generate_guide_for(scenario: Scenario, window: tuple[float, float], period: int) -> EventStream:
-    return generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + period)
-
-
-def _period_windows(scenario: Scenario) -> list[tuple[float, float]]:
-    """Half-open ``[t0, t1)`` window of every scan period, in microseconds."""
-    period_us = scenario.projector.period_us
-    return [(p * period_us, (p + 1) * period_us) for p in range(scenario.periods)]
-
-
-def _guide_streams(scenario: Scenario, parallel: bool) -> list[EventStream]:
-    """Guide events of every period window, on a 2-worker thread pool when ``parallel``."""
-    windows = _period_windows(scenario)
-    if not parallel:
-        return [generate_guide_for(scenario, w, p) for p, w in enumerate(windows)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(generate_guide_for, scenario, w, p) for p, w in enumerate(windows)]
-        return [f.result() for f in futures]
 
 
 def _mean(values: Iterable[float]) -> float | None:
@@ -233,11 +245,7 @@ def _mean(values: Iterable[float]) -> float | None:
 
 
 COMPARE_CSV_HEADER = [
-    "policy",
-    "mean_mask_fraction",
-    "mean_reflection_rate_ev_s",
-    "mean_plane_rms_m",
-    "mean_valid_depth_pixels",
+    "policy", "mean_mask_fraction", "mean_reflection_rate_ev_s", "mean_plane_rms_m", "mean_valid_depth_pixels",
     "power_reduction_vs_dense_pct",
 ]
 
@@ -252,25 +260,17 @@ def compare_sampling(
     The sparse stride mirrors the event-guided background stride so the two
     share a noise floor. Aggregates skip the first period (the event-guided
     policy has no guidance yet and runs its fallback there); a single-period
-    scenario aggregates that period as-is. The guide events are computed once
-    and shared by the three runs; ``parallel`` computes them as in
-    :func:`run_scenario`.
+    scenario aggregates that period as-is. The three policies share one guide
+    stage and one scene render per period; ``parallel`` runs as in
+    :func:`run_scenario`, with identical rows.
     """
-    if isinstance(scenario.policy, EventGuidedPolicy):
-        guided = scenario.policy
-    else:
-        guided = EventGuidedPolicy()
-    policies = [
-        ("dense", DensePolicy()),
-        ("sparse", SparsePolicy(stride=guided.background_stride)),
-        ("event_guided", guided),
-    ]
-    shared_guides = _guide_streams(scenario, parallel)
+    guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
+    policies = {"dense": DensePolicy(), "sparse": SparsePolicy(stride=guided.background_stride), "event_guided": guided}
+    variants = [replace(scenario, policy=policy) for policy in policies.values()]  # guide stage: last one's
+    per_period = [[r.report for r in results] for _, results in _run_periods(variants, parallel)]
 
     rows = []
-    for name, policy in policies:
-        variant = replace(scenario, policy=policy)
-        reports = run_scenario(variant, guide_streams=shared_guides)
+    for name, reports in zip(policies, zip(*per_period)):
         steady = reports[1:] if len(reports) > 1 else reports
         mask_fraction = _mean(r.mask_fraction for r in steady)
         rows.append({

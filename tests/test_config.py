@@ -397,6 +397,8 @@ def with_message_changes(mapping, outcome):
     - A policy-constructor error is prefixed ``policy:``, not ``policy.<kind>:``.
     - A ``null`` scene is a missing section, as every other ``null`` section
       is; the oracle read it as an empty mapping.
+    - A ``null`` entry of ``scene.objects`` is not a mapping, as a string
+      entry is not; the oracle read it as an empty mapping too.
     """
     if isinstance(outcome, Scenario):
         return outcome
@@ -404,6 +406,8 @@ def with_message_changes(mapping, outcome):
     message = re.sub(r"^policy\.(dense|sparse|event_guided): ", "policy: ", message)
     if mapping.get("scene", REMOVED) is None and message == "scene.resolution: missing required key":
         message = "scene: missing required section"
+    if message == "scene.objects[0].rect_px: missing required key" and mapping["scene"]["objects"][0] is None:
+        message = "scene.objects[0]: expected a mapping"
     return kind, message
 
 

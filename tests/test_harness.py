@@ -1,8 +1,12 @@
 import copy
+import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evsl
 from evsl import harness
@@ -165,6 +169,7 @@ class TestScenarioConfig:
         (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy.dilation_px: must be at least 0"),
         (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
          "policy: median_kernel_px must be odd and >= 1"),
+        (("scene", "objects", 0), None, "scene.objects[0]: expected a mapping"),
     ])
     def test_malformed_value_names_field(self, path, value, message):
         with pytest.raises(ConfigError) as info:
@@ -239,16 +244,6 @@ class TestRunScenario:
         reports = run_scenario(tiny_scenario(periods=4))
         assert [r.period for r in reports] == [0, 1, 2, 3]
 
-    def test_guide_streams_can_be_shared(self):
-        sc = tiny_scenario()
-        from evsl.harness import generate_guide_for
-
-        period = sc.projector.period_us
-        guides = [generate_guide_for(sc, (p * period, (p + 1) * period), p) for p in range(sc.periods)]
-        a = run_scenario(sc)
-        b = run_scenario(sc, guide_streams=guides)
-        assert a == b
-
     def test_parallel_equals_single_thread(self):
         sc = tiny_scenario(noise=evsl.NoiseModel(seed=0))
         assert run_scenario(sc, parallel=False) == run_scenario(sc, parallel=True)
@@ -296,7 +291,120 @@ class TestRunScenario:
         assert depth.valid_count == r.valid_depth_pixels
 
 
+DUMP_KINDS = ("events", "masks", "depth", "ply")
+
+
+@st.composite
+def small_scenarios(draw):
+    """Tiny scenarios with 1-4 objects, any policy kind, noise on or off."""
+    objects = tuple(
+        evsl.MovingObject(
+            draw(st.integers(-8, 60)), draw(st.integers(-8, 44)), draw(st.integers(1, 20)), draw(st.integers(1, 16)),
+            (draw(st.sampled_from([-0.0009, 0.0, 0.0006])), draw(st.sampled_from([-0.0003, 0.0, 0.0003]))),
+            draw(st.sampled_from([1.5, 1.9995])), draw(st.sampled_from([0.2, 0.95])),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    policy = draw(st.one_of(
+        st.just(evsl.DensePolicy()),
+        st.builds(evsl.SparsePolicy, st.integers(1, 8), st.booleans()),
+        st.builds(
+            evsl.EventGuidedPolicy,
+            median_kernel_px=st.sampled_from([1, 3]),
+            active_threshold=st.integers(1, 2),
+            min_area_px=st.integers(1, 6),
+            dilation_px=st.integers(0, 4),
+            background_stride=st.integers(1, 16),
+            first_period=st.sampled_from(["dense", "sparse"]),
+        ),
+    ))
+    # the latency shifts decoded rows and columns, so some pixels fail the row or disparity check
+    noise = draw(st.sampled_from([None, evsl.NoiseModel(), evsl.NoiseModel(latency_us=400.0, drop_probability=0.1)]))
+    return tiny_scenario(policy, draw(st.integers(1, 3)), noise, draw(st.integers(0, 3)), objects)
+
+
+class TestPeriodProperties:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(small_scenarios())
+    def test_parallel_equals_serial_and_counts_are_conserved(self, sc):
+        tallies = []
+
+        def recording(stage):
+            def wrapper(*args, **kwargs):
+                result = stage(*args, **kwargs)
+                tallies.append((args[0], result[1]))
+                return result
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            for name in ("simulate_reflection_events", "reconstruct_depth"):
+                mp.setattr(harness, name, recording(getattr(harness, name)))
+            serial, parallel = Path(tmp, "serial"), Path(tmp, "parallel")
+            reports = run_scenario(sc, dump=DUMP_KINDS, out_dir=serial)
+            assert run_scenario(sc, parallel=True, dump=DUMP_KINDS, out_dir=parallel) == reports
+            names = sorted(path.name for path in serial.iterdir())
+            assert names == sorted(path.name for path in parallel.iterdir())
+            for name in names:
+                assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+        assert len(tallies) == 2 * 2 * sc.periods
+        for first_arg, tally in tallies:
+            if "fired" in tally:
+                lost = tally["dropped"] + tally["out_of_frame"] + tally["invalid_depth"]
+                assert tally["fired"] == tally["emitted"] + lost
+            else:
+                w, h = first_arg.resolution
+                failed = tally["no_event"] + tally["row_mismatch"] + tally["nonpositive_disparity"]
+                assert failed + tally["valid"] == w * h
+
+
+def oracle_compare_sampling(scenario):
+    """``compare_sampling`` as it was before the per-period pipeline: one
+    ``run_scenario`` per policy, then the aggregation (CSV output left out)."""
+    if isinstance(scenario.policy, evsl.EventGuidedPolicy):
+        guided = scenario.policy
+    else:
+        guided = evsl.EventGuidedPolicy()
+    policies = [
+        ("dense", evsl.DensePolicy()),
+        ("sparse", evsl.SparsePolicy(stride=guided.background_stride)),
+        ("event_guided", guided),
+    ]
+
+    rows = []
+    for name, policy in policies:
+        variant = replace(scenario, policy=policy)
+        reports = run_scenario(variant)
+        steady = reports[1:] if len(reports) > 1 else reports
+        mask_fraction = harness._mean(r.mask_fraction for r in steady)
+        rows.append({
+            "policy": name,
+            "mean_mask_fraction": mask_fraction,
+            "mean_reflection_rate_ev_s": harness._mean(r.reflection_event_rate for r in steady),
+            "mean_plane_rms_m": harness._mean(r.plane_rms_m for r in steady),
+            "mean_valid_depth_pixels": harness._mean(r.valid_depth_pixels for r in steady),
+            "power_reduction_vs_dense_pct": 100.0 * (1.0 - mask_fraction),
+        })
+    return rows
+
+
+COMPARE_CASES = {
+    "first_period_dense": lambda: tiny_scenario(evsl.EventGuidedPolicy(first_period="dense"), noise=evsl.NoiseModel()),
+    "first_period_sparse": lambda: tiny_scenario(noise=evsl.NoiseModel()),
+    "own_policy_dense": lambda: tiny_scenario(evsl.DensePolicy(), noise=evsl.NoiseModel(drop_probability=0.1)),
+    "one_period": lambda: tiny_scenario(periods=1),
+    "plane_compare_3_periods": lambda: replace(load_scenario(SCENARIOS / "plane_compare.yaml"), periods=3),
+}
+
+
 class TestCompareSampling:
+    @pytest.mark.parametrize("case", COMPARE_CASES)
+    def test_rows_match_per_policy_oracle(self, case):
+        sc = COMPARE_CASES[case]()
+        expected = oracle_compare_sampling(sc)
+        assert compare_sampling(sc) == expected
+        assert compare_sampling(sc, parallel=True) == expected
+
     def test_zero_noise_rates_ordered_rms_zero(self):
         rows = compare_sampling(tiny_scenario())
         by = {r["policy"]: r for r in rows}

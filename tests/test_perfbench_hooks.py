@@ -62,4 +62,5 @@ def test_every_benchmark_hook_is_called(monkeypatch, tmp_path):
     total = sum(phases.values(), Counter())
     assert [name for name in [*names, "ThreadPoolExecutor"] if not total[name]] == []
     assert phases["parallel"]["ThreadPoolExecutor"] == 1
-    assert phases["compare"]["run_scenario"] == 3
+    # the guide stage runs once and each period's scene renders once for all three policies
+    assert phases["compare"]["render_scene"] == phases["compare"]["make_event_frame"] == sc.periods

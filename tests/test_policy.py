@@ -298,9 +298,9 @@ class TestMaskStageMatchesScipy:
         scenario = harness.load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.yaml")
         policy = scenario.policy
         args = (policy.active_threshold, policy.min_area_px, policy.dilation_px)
-        windows = harness._period_windows(scenario)
-        for stream, window in zip(harness._guide_streams(scenario, parallel=False), windows):
-            frame = make_event_frame(stream, window)
+        for p in range(scenario.periods):
+            window = harness._window(scenario, p)
+            frame = make_event_frame(harness.generate_guide_for(scenario, window, p), window)
             filtered = median_filter_frame(frame, policy.median_kernel_px)
             want = scipy_median_filter_frame(frame, policy.median_kernel_px)
             assert np.array_equal(filtered.counts, want.counts)
