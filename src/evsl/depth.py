@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DepthMap, TimeSurface
+from .events import DepthMap, TimeSurface, _frozen
 from .projector import ProjectorModel, SensorGeometry
 
 
@@ -31,13 +31,14 @@ class PlaneFit:
 
 @dataclass(frozen=True)
 class PointCloud:
+    """Points in the camera frame; takes ``xyz`` over read-only."""
+
     xyz: np.ndarray  # (N, 3) float64, camera frame, Z > 0
 
     def __post_init__(self):
-        xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
-        xyz = xyz.copy()
-        xyz.flags.writeable = False
-        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "xyz", _frozen(self.xyz, np.float64))
+        if self.xyz.ndim != 2 or self.xyz.shape[1] != 3:
+            raise ValueError("xyz must have shape (N, 3)")
 
     def __len__(self) -> int:
         return len(self.xyz)

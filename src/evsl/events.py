@@ -5,6 +5,9 @@ raster steps and timing noise stay representable; quantization to a camera's
 clock is an explicit step in the projector simulator. Every time window is
 half-open, [t_start, t_end), so consecutive windows partition a stream
 without double-counting boundary events.
+
+Handing an array to a value type hands it over: the type keeps an array of
+its dtype without copying and marks it read-only, so a later write raises.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ class Event(NamedTuple):
     p: int
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``, converted only if its dtype differs."""
+    a = np.asarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -34,9 +38,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class EventStream:
     """Time-sorted events bound to a sensor resolution.
 
-    Events are stored as parallel arrays (t: float64 microseconds, x/y: int32,
-    p: int8 in {-1, +1}). Arrays are copied and marked read-only at
-    construction; streams are plain values, safe to share across threads.
+    Events are stored as parallel 1-D arrays (t: float64 microseconds, x/y:
+    int32, p: int8 in {-1, +1}). The stream takes the arrays over and marks
+    them read-only; streams are plain values, safe to share across threads.
     """
 
     resolution: tuple[int, int]
@@ -49,12 +53,11 @@ class EventStream:
         w, h = self.resolution
         if w < 1 or h < 1:
             raise ValueError(f"invalid resolution {self.resolution!r}")
-        t = np.asarray(self.t, dtype=np.float64).ravel()
-        x = np.asarray(self.x, dtype=np.int32).ravel()
-        y = np.asarray(self.y, dtype=np.int32).ravel()
-        p = np.asarray(self.p, dtype=np.int8).ravel()
-        if not (len(t) == len(x) == len(y) == len(p)):
-            raise ValueError("event arrays must have equal length")
+        for name, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32), ("p", np.int8)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        t, x, y, p = self.t, self.x, self.y, self.p
+        if not (t.ndim == 1 and t.shape == x.shape == y.shape == p.shape):
+            raise ValueError("event arrays must be 1-D and of equal length")
         if len(t):
             if t[0] < 0.0:
                 raise ValueError("event timestamps must be non-negative")
@@ -65,10 +68,6 @@ class EventStream:
             if not np.all(np.abs(p) == 1):
                 raise ValueError("polarity must be -1 or +1")
         object.__setattr__(self, "resolution", (int(w), int(h)))
-        object.__setattr__(self, "t", _frozen(t))
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "p", _frozen(p))
 
     @classmethod
     def empty(cls, resolution: tuple[int, int]) -> "EventStream":
@@ -122,7 +121,7 @@ class EventFrame:
     window: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _frozen(np.asarray(self.counts, dtype=np.int64)))
+        object.__setattr__(self, "counts", _frozen(self.counts, np.int64))
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class TimeSurface:
     window: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "last_t", _frozen(np.asarray(self.last_t, dtype=np.float64)))
+        object.__setattr__(self, "last_t", _frozen(self.last_t, np.float64))
 
     @property
     def occupied(self) -> np.ndarray:
@@ -153,7 +152,7 @@ class VoxelGrid:
     window: tuple[float, float]  # (t0, t0 + span)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=np.float64)))
+        object.__setattr__(self, "values", _frozen(self.values, np.float64))
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,10 @@ class DepthMap:
 
     def __post_init__(self):
         w, h = self.resolution
-        depth = np.asarray(self.depth, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if depth.shape != (h, w) or valid.shape != (h, w):
+        for name, dtype in (("depth", np.float64), ("valid", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.depth.shape != (h, w) or self.valid.shape != (h, w):
             raise ValueError("depth/valid shape must be (height, width)")
-        object.__setattr__(self, "depth", _frozen(depth))
-        object.__setattr__(self, "valid", _frozen(valid))
 
     @classmethod
     def constant(cls, resolution: tuple[int, int], depth_m: float) -> "DepthMap":

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventFrame
+from .events import EventFrame, _frozen
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,16 @@ Policy = Union[DensePolicy, SparsePolicy, EventGuidedPolicy]
 
 @dataclass(frozen=True)
 class IlluminationMask:
-    """Per-projector-pixel on/off pattern for one scan period."""
+    """Per-projector-pixel on/off pattern for one scan period; takes ``on`` over read-only."""
 
     resolution: tuple[int, int]
     on: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
         w, h = self.resolution
-        on = np.asarray(self.on, dtype=bool)
-        if on.shape != (h, w):
+        object.__setattr__(self, "on", _frozen(self.on, bool))
+        if self.on.shape != (h, w):
             raise ValueError("mask shape must be (height, width)")
-        on = on.copy()
-        on.flags.writeable = False
-        object.__setattr__(self, "on", on)
 
     @property
     def fraction(self) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DepthMap, EventStream
+from .events import DepthMap, EventStream, _frozen
 from .policy import IlluminationMask
 
 
@@ -174,6 +174,10 @@ class ScanPlan:
     cols: np.ndarray      # int32
     fire_t_us: np.ndarray  # float64
 
+    def __post_init__(self):
+        for name, dtype in (("k", np.int64), ("rows", np.int32), ("cols", np.int32), ("fire_t_us", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
     def __len__(self) -> int:
         return len(self.k)
 
@@ -190,7 +194,7 @@ def build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: fl
             f"mask resolution {mask.resolution} does not match projector {projector.resolution}"
         )
     w, _ = projector.resolution
-    k = np.flatnonzero(mask.on.ravel()).astype(np.int64)
+    k = np.flatnonzero(mask.on)
     dwell = projector.dwell_time_us
     return ScanPlan(
         resolution=projector.resolution,
@@ -249,6 +253,10 @@ def simulate_reflection_events(
     and counted in the returned tally. ``sequence`` keys the noise draws so
     distinct scan periods get independent noise under one seed.
 
+    Noise is drawn only for firings that land in frame. That is exact: each
+    draw is keyed by raster index, so a firing's jitter and drop do not depend
+    on which others are drawn. Jitter sigma still follows all the plan's firings.
+
     Returns the time-sorted stream and a tally of discarded firings.
     """
     if scene_depth.resolution != plan.resolution:
@@ -256,44 +264,32 @@ def simulate_reflection_events(
             f"depth resolution {scene_depth.resolution} does not match plan {plan.resolution}"
         )
     cam_w, cam_h = geometry.cam_resolution
-    tally = {"fired": len(plan), "emitted": 0, "invalid_depth": 0, "out_of_frame": 0, "dropped": 0}
-    if len(plan) == 0:
-        return EventStream.empty(geometry.cam_resolution), tally
-
-    z = scene_depth.depth[plan.rows, plan.cols]
-    depth_ok = scene_depth.valid[plan.rows, plan.cols]
+    fb = geometry.focal_length_px * geometry.baseline_m
     with np.errstate(divide="ignore", invalid="ignore"):
-        disparity = geometry.focal_length_px * geometry.baseline_m / z
-    cam_col = np.floor(plan.cols - disparity + 0.5)
+        cam_col = np.floor(plan.cols - fb / scene_depth.depth[plan.rows, plan.cols] + 0.5)
+    depth_ok = scene_depth.valid[plan.rows, plan.cols]
     in_frame = depth_ok & (cam_col >= 0) & (cam_col < cam_w) & (plan.rows < cam_h)
+    landed = np.flatnonzero(in_frame)
 
-    t = plan.fire_t_us + noise.latency_us
+    k = plan.k[landed]
+    t = plan.fire_t_us[landed] + noise.latency_us
     if noise.jitter_anchors:
         # Modelling choice: sigma follows the period's mean firing rate, not the
         # local burst rate inside an ROI, so a sparser mask means less jitter.
         # Acceptance criterion 4's noise ordering across policies rests on it.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
-            t = t + sigma * _keyed_normals(noise.seed, sequence, plan.k)
-    dropped = np.zeros(len(plan), dtype=bool)
+            t = t + sigma * _keyed_normals(noise.seed, sequence, k)
     if noise.drop_probability > 0:
-        u = _keyed_uniforms(noise.seed, sequence, plan.k, stream=3)
-        dropped = u < noise.drop_probability
+        kept = _keyed_uniforms(noise.seed, sequence, k, stream=3) >= noise.drop_probability
+        landed, t = landed[kept], t[kept]
     if noise.quantization_us > 0:
         t = np.floor(t / noise.quantization_us + 0.5) * noise.quantization_us
     t = np.maximum(t, 0.0)
 
-    keep = in_frame & ~dropped
-    tally["invalid_depth"] = int((~depth_ok).sum())
-    tally["out_of_frame"] = int((depth_ok & ~in_frame).sum())
-    tally["dropped"] = int((in_frame & dropped).sum())
-    tally["emitted"] = int(keep.sum())
-
-    stream = EventStream.from_arrays(
-        geometry.cam_resolution,
-        t[keep],
-        cam_col[keep].astype(np.int32),
-        plan.rows[keep],
-        np.ones(int(keep.sum()), dtype=np.int8),
-    )
+    invalid_depth = len(plan) - int(depth_ok.sum())
+    tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
+             "out_of_frame": len(plan) - invalid_depth - len(k), "dropped": len(k) - len(landed)}
+    ones = np.ones(len(landed), dtype=np.int8)
+    stream = EventStream.from_arrays(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], ones)
     return stream, tally

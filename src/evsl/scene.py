@@ -154,7 +154,7 @@ def render_scene(script: SceneScript, t_us: float) -> tuple[np.ndarray, DepthMap
     if not (0.0 <= t_us <= script.duration_us):
         raise ValueError(f"t={t_us} outside scene duration [0, {script.duration_us}]")
     w, h = script.resolution
-    intensity = script.background.intensity_image(script.resolution).copy()
+    intensity = script.background.intensity_image(script.resolution)
     depth = np.full((h, w), script.background.depth_m)
     for obj in _paint_order(script):
         box = _object_box(obj, t_us, script.resolution)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsl.depth import (
     DegenerateInputError,
@@ -107,6 +109,40 @@ def noiseless_reconstruction(resolution=(64, 48), z=2.0):
     stream, _ = simulate_reflection_events(plan, depth, geom, NoiseModel.noiseless())
     surface = make_time_surface(stream, (0.0, proj.period_us))
     return geom, proj, stream, surface
+
+
+class TestNoiselessRoundTrip:
+    """Any mask, fronto-parallel plane, no noise: decoding recovers every firing."""
+
+    @settings(max_examples=100)
+    @given(
+        w=st.integers(2, 48),
+        h=st.integers(1, 24),
+        lit=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        hz=st.sampled_from([30.0, 60.0, 200.0]),
+        t0=st.sampled_from([0.0, 1e6 / 60, 98765.4321]),
+        data=st.data(),
+    )
+    def test_decode_round_trips_for_any_mask(self, w, h, lit, seed, hz, t0, data):
+        disparity = data.draw(st.integers(1, w - 1), label="disparity")
+        geom = SensorGeometry((w, h), (w, h), 600.0, 0.04)
+        proj = ProjectorModel((w, h), hz)
+        rng = np.random.default_rng(seed)
+        plan = build_scan_plan(proj, IlluminationMask((w, h), rng.random((h, w)) < lit), t0)
+        fb = geom.focal_length_px * geom.baseline_m
+        depth = DepthMap.constant((w, h), fb / disparity)
+        stream, fired = simulate_reflection_events(plan, depth, geom, NoiseModel.noiseless())
+        surface = make_time_surface(stream, (t0, t0 + proj.period_us))
+        depth_map, tally = reconstruct_depth(surface, geom, proj, t0)
+        assert tally["valid"] == depth_map.valid_count == fired["emitted"]
+        assert tally["row_mismatch"] == tally["nonpositive_disparity"] == 0
+        # every firing that landed decodes at its camera pixel, and nothing else does
+        landed = plan.cols >= disparity
+        want = np.zeros((h, w), dtype=bool)
+        want[plan.rows[landed], plan.cols[landed] - disparity] = True
+        assert np.array_equal(depth_map.valid, want)
+        assert np.all(depth_map.depth[depth_map.valid] == fb / disparity)
 
 
 class TestReconstructDepth:

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from evsl.depth import PointCloud
 from evsl.events import (
     DepthMap,
     Event,
+    EventFrame,
     EventStream,
     LogDepthCodec,
+    TimeSurface,
+    VoxelGrid,
     decode_log_depth,
     encode_log_depth,
     make_event_frame,
     make_time_surface,
     make_voxel_grid,
 )
+from evsl.policy import IlluminationMask
+from evsl.projector import ScanPlan
 
 
 def random_stream(rng, resolution=(32, 32), n=200, t_max=1000.0):
@@ -55,6 +61,10 @@ class TestEventStream:
         with pytest.raises(ValueError):
             s.t[0] = 2.0
 
+    def test_rejects_arrays_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            EventStream((4, 4), [[1.0]], [[0]], [[0]], [[1]])
+
     def test_window_indices_half_open(self):
         s = EventStream((4, 4), [1.0, 2.0, 3.0], [0, 1, 2], [0, 0, 0], [1, 1, 1])
         assert s.window_indices(1.0, 3.0) == (0, 2)
@@ -68,6 +78,41 @@ class TestEventStream:
     def test_iter_yields_events(self):
         s = EventStream((4, 4), [1.5], [2], [3], [-1])
         assert list(s) == [Event(1.5, 2, 3, -1)]
+
+
+# Per value type, constructor arguments whose arrays already have the type's dtypes.
+HANDED_OVER = {
+    EventStream: dict(resolution=(4, 4), t=np.array([1.0, 2.0]), x=np.array([0, 3], np.int32),
+                      y=np.array([1, 2], np.int32), p=np.array([1, -1], np.int8)),
+    EventFrame: dict(resolution=(3, 2), counts=np.ones((2, 3), np.int64), window=(0.0, 1.0)),
+    TimeSurface: dict(resolution=(3, 2), last_t=np.full((2, 3), np.nan), window=(0.0, 1.0)),
+    VoxelGrid: dict(bins=2, values=np.zeros((2, 2, 3)), window=(0.0, 1.0)),
+    DepthMap: dict(resolution=(3, 2), depth=np.full((2, 3), 2.0), valid=np.ones((2, 3), bool)),
+    IlluminationMask: dict(resolution=(3, 2), on=np.ones((2, 3), bool)),
+    PointCloud: dict(xyz=np.ones((4, 3))),
+    ScanPlan: dict(resolution=(3, 2), t0_us=0.0, period_us=6.0, k=np.arange(6, dtype=np.int64),
+                   rows=np.arange(6, dtype=np.int32) // 3, cols=np.arange(6, dtype=np.int32) % 3,
+                   fire_t_us=np.arange(6.0)),
+}
+
+
+@pytest.mark.parametrize("cls", HANDED_OVER, ids=lambda cls: cls.__name__)
+def test_value_types_take_arrays_over(cls):
+    # handing an array to a value type hands it over: no copy, and the
+    # caller's name for it can no longer write
+    kwargs = {name: a.copy() if isinstance(a, np.ndarray) else a for name, a in HANDED_OVER[cls].items()}
+    value = cls(**kwargs)
+    arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
+    assert arrays
+    for name, a in arrays.items():
+        assert np.shares_memory(getattr(value, name), a), name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_point_cloud_rejects_other_shapes():
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        PointCloud(np.zeros(6))
 
 
 class TestEventFrame:

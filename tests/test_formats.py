@@ -180,7 +180,7 @@ class TestTextCodecMatchesOracle:
                 _oracle_write_ply(tmp_path / "oracle", cloud)
             assert path.read_bytes() == (tmp_path / "oracle").read_bytes()
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         n=st.integers(0, 300),
         decimals=st.integers(3, 9),
@@ -206,7 +206,7 @@ class TestTextCodecMatchesOracle:
         if len(stream):
             assert_same_stream(read_event_stream(path), _oracle_read_event_stream(path))
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(xyz=st.lists(st.tuples(*[st.floats(-3e38, 3e38) | st.floats(-1e-40, 1e-40)] * 3), max_size=200))
     def test_random_clouds(self, tmp_path_factory, xyz):
         cloud = PointCloud(np.array(xyz, dtype=np.float64).reshape(-1, 3))

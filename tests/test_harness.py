@@ -324,7 +324,7 @@ def small_scenarios(draw):
 
 
 class TestPeriodProperties:
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(small_scenarios())
     def test_parallel_equals_serial_and_counts_are_conserved(self, sc):
         tallies = []

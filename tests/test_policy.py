@@ -268,14 +268,14 @@ SHAPES = {
 class TestMaskStageMatchesScipy:
     """median_filter_frame and detect_roi against the scipy calls they replaced."""
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(frame=count_frames(), k=st.sampled_from([1, 3, 5, 7]))
     def test_median_property(self, frame, k):
         got, want = median_filter_frame(frame, k), scipy_median_filter_frame(frame, k)
         assert got.resolution == want.resolution and got.window == want.window
         assert np.array_equal(got.counts, want.counts)
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(frame=count_frames(), threshold=st.integers(1, 3), min_area=st.integers(1, 8),
            dilation=st.integers(0, 5))
     def test_roi_property(self, frame, threshold, min_area, dilation):
@@ -391,6 +391,33 @@ class TestBuildMask:
             mask = build_mask(policy, (24, 24), rois)
             ys, xs = np.nonzero(counts >= policy.active_threshold)
             assert mask.on[ys, xs].all()
+
+    @settings(max_examples=150)
+    @given(
+        frame=count_frames(),
+        kernel=st.sampled_from([1, 3, 5]),
+        threshold=st.integers(1, 3),
+        dilation=st.integers(0, 3),
+        proj_w=st.integers(1, 60),
+        proj_h=st.integers(1, 60),
+    )
+    def test_coverage_after_filter_and_scale(self, frame, kernel, threshold, dilation, proj_w, proj_h):
+        # the guide stage as the harness runs it, then the mask on a projector
+        # of another resolution: every projector pixel that overlaps an
+        # active pixel of the filtered guide frame is lit
+        w, h = frame.resolution
+        if (proj_w, proj_h) == (w, h):
+            proj_w += 1
+        policy = EventGuidedPolicy(kernel, threshold, min_area_px=1, dilation_px=dilation, background_stride=7)
+        filtered = median_filter_frame(frame, policy.median_kernel_px)
+        rois = detect_roi(filtered, policy.active_threshold, policy.min_area_px, policy.dilation_px)
+        sx, sy = proj_w / w, proj_h / h
+        mask = build_mask(policy, (proj_w, proj_h), rois, (sx, sy))
+        for y, x in zip(*np.nonzero(filtered.counts >= threshold)):
+            x0, x1 = int(np.floor(x * sx)), min(int(np.ceil((x + 1) * sx)), proj_w)
+            y0, y1 = int(np.floor(y * sy)), min(int(np.ceil((y + 1) * sy)), proj_h)
+            assert x0 < x1 and y0 < y1
+            assert mask.on[y0:y1, x0:x1].all(), (y, x)
 
 
 class TestActivePixelFraction:

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evsl.events import DepthMap
+from evsl.events import DepthMap, EventStream
 from evsl.policy import DensePolicy, IlluminationMask, SparsePolicy, build_mask
 from evsl.projector import (
+    DEFAULT_JITTER_ANCHORS,
     NoiseModel,
     ProjectorModel,
     SENSOR_PRESETS,
+    ScanPlan,
     SensorGeometry,
+    _keyed_normals,
+    _keyed_uniforms,
     build_scan_plan,
     pixel_dwell_time,
     raster_event_rate,
@@ -252,3 +258,106 @@ class TestSimulateReflection:
         stream, _ = simulate_reflection_events(plan, depth, geom, NoiseModel(seed=1), sequence=2)
         assert np.all(np.diff(stream.t) >= 0)
         assert np.all(stream.t >= 0)
+
+
+def oracle_simulate_reflection_events(
+    plan: ScanPlan,
+    scene_depth: DepthMap,
+    geometry: SensorGeometry,
+    noise: NoiseModel,
+    sequence: int = 0,
+) -> tuple[EventStream, dict[str, int]]:
+    """The simulator as it was before it drew noise only for landing firings:
+    every firing gets its jitter and drop, and the out-of-frame ones are
+    discarded afterwards."""
+    if scene_depth.resolution != plan.resolution:
+        raise ValueError(
+            f"depth resolution {scene_depth.resolution} does not match plan {plan.resolution}"
+        )
+    cam_w, cam_h = geometry.cam_resolution
+    tally = {"fired": len(plan), "emitted": 0, "invalid_depth": 0, "out_of_frame": 0, "dropped": 0}
+    if len(plan) == 0:
+        return EventStream.empty(geometry.cam_resolution), tally
+
+    z = scene_depth.depth[plan.rows, plan.cols]
+    depth_ok = scene_depth.valid[plan.rows, plan.cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disparity = geometry.focal_length_px * geometry.baseline_m / z
+    cam_col = np.floor(plan.cols - disparity + 0.5)
+    in_frame = depth_ok & (cam_col >= 0) & (cam_col < cam_w) & (plan.rows < cam_h)
+
+    t = plan.fire_t_us + noise.latency_us
+    if noise.jitter_anchors:
+        # Modelling choice: sigma follows the period's mean firing rate, not the
+        # local burst rate inside an ROI, so a sparser mask means less jitter.
+        # Acceptance criterion 4's noise ordering across policies rests on it.
+        sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
+        if sigma > 0:
+            t = t + sigma * _keyed_normals(noise.seed, sequence, plan.k)
+    dropped = np.zeros(len(plan), dtype=bool)
+    if noise.drop_probability > 0:
+        u = _keyed_uniforms(noise.seed, sequence, plan.k, stream=3)
+        dropped = u < noise.drop_probability
+    if noise.quantization_us > 0:
+        t = np.floor(t / noise.quantization_us + 0.5) * noise.quantization_us
+    t = np.maximum(t, 0.0)
+
+    keep = in_frame & ~dropped
+    tally["invalid_depth"] = int((~depth_ok).sum())
+    tally["out_of_frame"] = int((depth_ok & ~in_frame).sum())
+    tally["dropped"] = int((in_frame & dropped).sum())
+    tally["emitted"] = int(keep.sum())
+
+    stream = EventStream.from_arrays(
+        geometry.cam_resolution,
+        t[keep],
+        cam_col[keep].astype(np.int32),
+        plan.rows[keep],
+        np.ones(int(keep.sum()), dtype=np.int8),
+    )
+    return stream, tally
+
+
+@st.composite
+def reflection_cases(draw):
+    """A plan, a depth map with invalid pixels, a rig and a noise model.
+
+    Camera and projector sizes are drawn apart, so firings leave the camera
+    frame past its right edge and below its last row as well as past the
+    left edge (disparity larger than the projector column).
+    """
+    pw, ph = draw(st.integers(1, 40), label="proj_w"), draw(st.integers(1, 12), label="proj_h")
+    cw, ch = draw(st.integers(1, 40), label="cam_w"), draw(st.integers(1, 12), label="cam_h")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    on = rng.random((ph, pw)) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]), label="lit")
+    valid = rng.random((ph, pw)) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="valid")
+    depth = np.where(valid, rng.uniform(0.05, 2.0, (ph, pw)), draw(st.sampled_from([0.0, np.nan, 1.0])))
+    projector = ProjectorModel((pw, ph), draw(st.sampled_from([60.0, 2000.0]), label="hz"))
+    plan = build_scan_plan(projector, IlluminationMask((pw, ph), on), draw(st.sampled_from([0.0, 12345.6])))
+    geometry = SensorGeometry((cw, ch), (pw, ph), draw(st.sampled_from([1.0, 10.0, 40.0])), 0.05)
+    noise = NoiseModel(
+        latency_us=draw(st.sampled_from([0.0, 3.7])),
+        # these tiny rasters fire at 60 Ev/s to 1 MEv/s, below the default anchors,
+        # so the last anchors make sigma depend on the plan's firing rate
+        jitter_anchors=draw(st.sampled_from([(), DEFAULT_JITTER_ANCHORS, ((1e-4, 0.5), (0.1, 40.0))])),
+        drop_probability=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        quantization_us=draw(st.sampled_from([0.0, 1.0])),
+        seed=draw(st.integers(0, 2**31), label="noise_seed"),
+    )
+    return plan, DepthMap((pw, ph), depth, valid), geometry, noise, draw(st.integers(0, 50), label="sequence")
+
+
+class TestReflectionMatchesOracle:
+    """Drawing noise only for landing firings gives the oracle's bytes and tally."""
+
+    @settings(max_examples=300)
+    @given(reflection_cases())
+    def test_property(self, case):
+        plan, depth, geometry, noise, sequence = case
+        got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence)
+        want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence)
+        assert list(got_tally.items()) == list(want_tally.items())
+        assert got.resolution == want.resolution
+        for name in "txyp":
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

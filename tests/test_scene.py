@@ -258,7 +258,7 @@ class TestGuideEventsMatchFullFrame:
         assert np.count_nonzero((want.t > 2000.0) & (want.t <= 3000.0)) == 1
         assert_same_stream(generate_guide_events(script, camera, (0.0, 5000.0)), want)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_random_scenes(self, data):
         w = data.draw(st.integers(4, 40), label="width")
