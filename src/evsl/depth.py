@@ -3,7 +3,8 @@
 Each camera pixel's latest event timestamp identifies the projector raster
 slot that produced it; depth follows from the disparity between the slot's
 column and the camera column in the rectified geometry. Reconstructions of
-planar targets are scored by total-least-squares plane fitting.
+planar targets are scored by total-least-squares plane fitting. Decode and
+back-projection address camera pixels by flat raster index ``y * W + x``.
 """
 
 from __future__ import annotations
@@ -72,38 +73,38 @@ def reconstruct_depth(
     w0, w1 = surface.window
     if abs((w1 - w0) - projector.period_us) > 1e-6 * projector.period_us or abs(w0 - t0_us) > 1e-6 * max(1.0, abs(t0_us)):
         raise ValueError("surface window must equal the scan period being decoded")
-    cam_w, cam_h = surface.resolution
-    depth = np.zeros((cam_h, cam_w))
-    valid = np.zeros((cam_h, cam_w), dtype=bool)
+    if surface.resolution != geometry.cam_resolution:
+        raise ValueError(f"surface resolution {surface.resolution} does not match camera {geometry.cam_resolution}")
+    cam_h, cam_w = surface.last_t.shape
+    depth = np.zeros(cam_w * cam_h)
+    valid = np.zeros(cam_w * cam_h, dtype=bool)
 
-    ys, xs = np.nonzero(surface.occupied)
+    flat = np.flatnonzero(surface.occupied)
+    ys, xs = np.divmod(flat, cam_w)
+    rows, cols = decode_projector_indices(np.take(surface.last_t, flat), projector, t0_us)
+    row_ok = np.abs(rows - ys) <= 1
+    disparity = cols - xs
+    disp_ok = disparity > 0
+    ok = row_ok & disp_ok
+    depth[flat[ok]] = geometry.focal_length_px * geometry.baseline_m / disparity[ok]
+    valid[flat[ok]] = True
     tally = {
-        "no_event": cam_w * cam_h - len(ys),
-        "row_mismatch": 0,
-        "nonpositive_disparity": 0,
-        "valid": 0,
+        "no_event": cam_w * cam_h - len(flat),
+        "row_mismatch": int((~row_ok).sum()),
+        "nonpositive_disparity": int((row_ok & ~disp_ok).sum()),
+        "valid": int(ok.sum()),
     }
-    if len(ys):
-        rows, cols = decode_projector_indices(surface.last_t[ys, xs], projector, t0_us)
-        row_ok = np.abs(rows - ys) <= 1
-        disparity = cols - xs
-        disp_ok = disparity > 0
-        ok = row_ok & disp_ok
-        z = np.zeros(len(ys))
-        z[ok] = geometry.focal_length_px * geometry.baseline_m / disparity[ok]
-        depth[ys[ok], xs[ok]] = z[ok]
-        valid[ys[ok], xs[ok]] = True
-        tally["row_mismatch"] = int((~row_ok).sum())
-        tally["nonpositive_disparity"] = int((row_ok & ~disp_ok).sum())
-        tally["valid"] = int(ok.sum())
-    return DepthMap(surface.resolution, depth, valid), tally
+    return DepthMap(surface.resolution, depth.reshape(cam_h, cam_w), valid.reshape(cam_h, cam_w)), tally
 
 
 def depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud:
     """Back-project valid pixels through the pinhole with the principal point at the frame center."""
+    if depth_map.resolution != geometry.cam_resolution:
+        raise ValueError(f"depth resolution {depth_map.resolution} does not match camera {geometry.cam_resolution}")
     cam_w, cam_h = geometry.cam_resolution
-    ys, xs = np.nonzero(depth_map.valid)
-    z = depth_map.depth[ys, xs]
+    flat = np.flatnonzero(depth_map.valid)
+    ys, xs = np.divmod(flat, cam_w)
+    z = np.take(depth_map.depth, flat)
     x = (xs - cam_w / 2.0) * z / geometry.focal_length_px
     y = (ys - cam_h / 2.0) * z / geometry.focal_length_px
     return PointCloud(np.column_stack([x, y, z]))

@@ -4,7 +4,8 @@ Timestamps are real-valued microseconds throughout, so sub-microsecond
 raster steps and timing noise stay representable; quantization to a camera's
 clock is an explicit step in the projector simulator. Every time window is
 half-open, [t_start, t_end), so consecutive windows partition a stream
-without double-counting boundary events.
+without double-counting boundary events. Frames and time surfaces address
+pixels by flat raster index ``y * W + x``.
 
 Handing an array to a value type hands it over: the type keeps an array of
 its dtype without copying and marks it read-only, so a later write raises.
@@ -59,10 +60,13 @@ class EventStream:
         if not (t.ndim == 1 and t.shape == x.shape == y.shape == p.shape):
             raise ValueError("event arrays must be 1-D and of equal length")
         if len(t):
-            if t[0] < 0.0:
+            # written so that a NaN fails: first, or anywhere later through its NaN differences
+            if not t[0] >= 0.0:
                 raise ValueError("event timestamps must be non-negative")
-            if np.any(np.diff(t) < 0.0):
+            if not np.all(np.diff(t) >= 0.0):
                 raise ValueError("event timestamps must be non-decreasing")
+            if not np.isfinite(t[-1]):
+                raise ValueError("event timestamps must be finite")
             if x.min() < 0 or x.max() >= w or y.min() < 0 or y.max() >= h:
                 raise ValueError("event coordinates outside resolution")
             if not np.all(np.abs(p) == 1):
@@ -205,9 +209,8 @@ def make_event_frame(stream: EventStream, window: tuple[float, float]) -> EventF
     if t1 < t0:
         raise ValueError(f"invalid window ({t0}, {t1})")
     w, h = stream.resolution
-    counts = np.zeros((h, w), dtype=np.int64)
     i0, i1 = stream.window_indices(t0, t1)
-    np.add.at(counts, (stream.y[i0:i1], stream.x[i0:i1]), 1)
+    counts = np.bincount(stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], minlength=w * h).reshape(h, w)
     return EventFrame(stream.resolution, counts, (float(t0), float(t1)))
 
 
@@ -217,11 +220,11 @@ def make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeS
     if t1 < t0:
         raise ValueError(f"invalid window ({t0}, {t1})")
     w, h = stream.resolution
-    last = np.full((h, w), -np.inf)
+    last = np.full(w * h, -np.inf)
     i0, i1 = stream.window_indices(t0, t1)
-    np.maximum.at(last, (stream.y[i0:i1], stream.x[i0:i1]), stream.t[i0:i1])
+    np.maximum.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
     last[~np.isfinite(last)] = np.nan
-    return TimeSurface(stream.resolution, last, (float(t0), float(t1)))
+    return TimeSurface(stream.resolution, last.reshape(h, w), (float(t0), float(t1)))
 
 
 def make_voxel_grid(stream: EventStream, window: tuple[float, float], bins: int = 5) -> VoxelGrid:

@@ -127,14 +127,14 @@ def median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
     near = np.zeros((h, w), dtype=bool)
     for dy, dx in np.ndindex(k, k):
         near |= nonzero[dy:dy + h, dx:dx + w]
-    ys, xs = np.nonzero(near)
+    flat = np.flatnonzero(near)
     windows = sliding_window_view(padded, (k, k))
-    filtered = np.zeros_like(frame.counts)
-    for i in range(0, len(ys), _MEDIAN_CHUNK):
-        y, x = ys[i:i + _MEDIAN_CHUNK], xs[i:i + _MEDIAN_CHUNK]
-        values = windows[y, x].reshape(len(y), k * k)
-        filtered[y, x] = np.partition(values, k * k // 2, axis=1)[:, k * k // 2]
-    return EventFrame(frame.resolution, filtered, frame.window)
+    filtered = np.zeros(h * w, dtype=frame.counts.dtype)
+    for i in range(0, len(flat), _MEDIAN_CHUNK):
+        chunk = flat[i:i + _MEDIAN_CHUNK]
+        values = windows[np.divmod(chunk, w)].reshape(len(chunk), k * k)
+        filtered[chunk] = np.partition(values, k * k // 2, axis=1)[:, k * k // 2]
+    return EventFrame(frame.resolution, filtered.reshape(h, w), frame.window)
 
 
 def detect_roi(

@@ -266,8 +266,8 @@ def simulate_reflection_events(
     cam_w, cam_h = geometry.cam_resolution
     fb = geometry.focal_length_px * geometry.baseline_m
     with np.errstate(divide="ignore", invalid="ignore"):
-        cam_col = np.floor(plan.cols - fb / scene_depth.depth[plan.rows, plan.cols] + 0.5)
-    depth_ok = scene_depth.valid[plan.rows, plan.cols]
+        cam_col = np.floor(plan.cols - fb / np.take(scene_depth.depth, plan.k) + 0.5)
+    depth_ok = np.take(scene_depth.valid, plan.k)
     in_frame = depth_ok & (cam_col >= 0) & (cam_col < cam_w) & (plan.rows < cam_h)
     landed = np.flatnonzero(in_frame)
 

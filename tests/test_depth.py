@@ -11,7 +11,7 @@ from evsl.depth import (
     fit_plane,
     reconstruct_depth,
 )
-from evsl.events import DepthMap, TimeSurface, make_time_surface
+from evsl.events import DepthMap, EventStream, TimeSurface, make_time_surface
 from evsl.policy import DensePolicy, IlluminationMask, build_mask
 from evsl.projector import (
     NoiseModel,
@@ -145,6 +145,112 @@ class TestNoiselessRoundTrip:
         assert np.all(depth_map.depth[depth_map.valid] == fb / disparity)
 
 
+def _oracle_reconstruct_depth(
+    surface: TimeSurface,
+    geometry: SensorGeometry,
+    projector: ProjectorModel,
+    t0_us: float,
+) -> tuple[DepthMap, dict[str, int]]:
+    """Recover a sparse depth map from one scan period's time surface.
+
+    Pixels with no event, a decoded projector row disagreeing with the camera
+    row by more than one (timing noise near row boundaries flips rows), or
+    non-positive disparity come back invalid; the tally reports each failure
+    class.
+    """
+    w0, w1 = surface.window
+    if abs((w1 - w0) - projector.period_us) > 1e-6 * projector.period_us or abs(w0 - t0_us) > 1e-6 * max(1.0, abs(t0_us)):
+        raise ValueError("surface window must equal the scan period being decoded")
+    cam_w, cam_h = surface.resolution
+    depth = np.zeros((cam_h, cam_w))
+    valid = np.zeros((cam_h, cam_w), dtype=bool)
+
+    ys, xs = np.nonzero(surface.occupied)
+    tally = {
+        "no_event": cam_w * cam_h - len(ys),
+        "row_mismatch": 0,
+        "nonpositive_disparity": 0,
+        "valid": 0,
+    }
+    if len(ys):
+        rows, cols = decode_projector_indices(surface.last_t[ys, xs], projector, t0_us)
+        row_ok = np.abs(rows - ys) <= 1
+        disparity = cols - xs
+        disp_ok = disparity > 0
+        ok = row_ok & disp_ok
+        z = np.zeros(len(ys))
+        z[ok] = geometry.focal_length_px * geometry.baseline_m / disparity[ok]
+        depth[ys[ok], xs[ok]] = z[ok]
+        valid[ys[ok], xs[ok]] = True
+        tally["row_mismatch"] = int((~row_ok).sum())
+        tally["nonpositive_disparity"] = int((row_ok & ~disp_ok).sum())
+        tally["valid"] = int(ok.sum())
+    return DepthMap(surface.resolution, depth, valid), tally
+
+
+def _oracle_depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud:
+    """Back-project valid pixels through the pinhole with the principal point at the frame center."""
+    cam_w, cam_h = geometry.cam_resolution
+    ys, xs = np.nonzero(depth_map.valid)
+    z = depth_map.depth[ys, xs]
+    x = (xs - cam_w / 2.0) * z / geometry.focal_length_px
+    y = (ys - cam_h / 2.0) * z / geometry.focal_length_px
+    return PointCloud(np.column_stack([x, y, z]))
+
+
+@st.composite
+def decode_cases(draw):
+    """A time surface, a depth map of random validity, the rig and the period start.
+
+    The camera is often one row or one column, and the projector is sized
+    apart from it. Each event sits near the slot of a projector pixel in the
+    camera pixel's row or a neighbour row, a few columns to either side, so
+    pixels decode valid, off-row and at non-positive disparity. Timestamps are
+    clipped to the period, so events land on both of its edges; the one on
+    the end edge falls outside the half-open window.
+    """
+    shape = draw(st.sampled_from(["one row", "one column", "any"]), label="shape")
+    cw = 1 if shape == "one column" else draw(st.integers(2, 32), label="cam_w")
+    ch = 1 if shape == "one row" else draw(st.integers(2, 32), label="cam_h")
+    pw, ph = draw(st.integers(1, 32), label="proj_w"), draw(st.integers(1, 32), label="proj_h")
+    projector = ProjectorModel((pw, ph), draw(st.sampled_from([60.0, 2000.0]), label="hz"))
+    geometry = SensorGeometry((cw, ch), (pw, ph), draw(st.sampled_from([1.0, 40.0, 600.0]), label="f"), 0.04)
+    t0 = draw(st.sampled_from([0.0, 12345.6]), label="t0")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(0, 80), label="n")
+    cam = rng.integers(0, cw * ch, n)
+    x, y = cam % cw, cam // cw
+    slot = np.clip((y + rng.integers(-2, 3, n)) * pw + x + rng.integers(-3, 9, n), 0, pw * ph - 1)
+    t = np.clip(t0 + (slot + rng.uniform(-0.6, 0.6, n)) * projector.dwell_time_us, t0, t0 + projector.period_us)
+    stream = EventStream.from_arrays((cw, ch), t, x, y, np.ones(n))
+    surface = make_time_surface(stream, (t0, t0 + projector.period_us))
+    valid = rng.random((ch, cw)) < draw(st.sampled_from([0.0, 0.5, 1.0]), label="valid")
+    depth_map = DepthMap((cw, ch), np.where(valid, rng.uniform(0.1, 5.0, (ch, cw)), 0.0), valid)
+    return surface, depth_map, geometry, projector, t0
+
+
+def assert_same_bytes(a, b, name):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestDecodeMatchesOracle:
+    """Decode and back-projection on flat raster indices give the 2-D code's bytes."""
+
+    @settings(max_examples=300)
+    @given(decode_cases())
+    def test_property(self, case):
+        surface, depth_map, geometry, projector, t0 = case
+        got, got_tally = reconstruct_depth(surface, geometry, projector, t0)
+        want, want_tally = _oracle_reconstruct_depth(surface, geometry, projector, t0)
+        assert list(got_tally.items()) == list(want_tally.items())
+        assert all(type(v) is int for v in got_tally.values())
+        assert_same_bytes(got.depth, want.depth, "depth")
+        assert_same_bytes(got.valid, want.valid, "valid")
+        for decoded in (got, depth_map):
+            got_xyz = depth_to_points(decoded, geometry).xyz
+            assert_same_bytes(got_xyz, _oracle_depth_to_points(decoded, geometry).xyz, "xyz")
+
+
 class TestReconstructDepth:
     def test_noiseless_dense_plane_is_exact(self):
         geom, proj, stream, surface = noiseless_reconstruction()
@@ -200,6 +306,14 @@ class TestReconstructDepth:
         assert depth_map.valid_count == 0
         assert tally["nonpositive_disparity"] == 1
 
+    def test_resolution_must_match_camera(self):
+        # same pixel count, transposed: a flat index would land on the wrong pixel
+        geom = SensorGeometry((16, 8), (16, 8), 600.0, 0.04)
+        proj = ProjectorModel((16, 8), 60.0)
+        surface = TimeSurface((8, 16), np.full((16, 8), np.nan), (0.0, proj.period_us))
+        with pytest.raises(ValueError, match="camera"):
+            reconstruct_depth(surface, geom, proj, 0.0)
+
     def test_adding_events_never_removes_pixels(self):
         geom, proj, stream, surface = noiseless_reconstruction()
         base_map, _ = reconstruct_depth(surface, geom, proj, 0.0)
@@ -238,6 +352,13 @@ class TestDepthToPoints:
         depth = np.where(valid, rng.uniform(0.5, 5.0, (30, 40)), 0.0)
         pts = depth_to_points(DepthMap((40, 30), depth, valid), SensorGeometry((40, 30), (40, 30), 50.0, 0.1))
         assert len(pts) == valid.sum()
+
+
+    def test_resolution_must_match_camera(self):
+        # a mismatched map would be centred on the wrong principal point
+        depth_map = DepthMap.constant((30, 40), 2.0)
+        with pytest.raises(ValueError, match="camera"):
+            depth_to_points(depth_map, SensorGeometry((40, 30), (40, 30), 50.0, 0.1))
 
 
 class TestFitPlane:

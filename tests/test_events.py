@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsl.depth import PointCloud
 from evsl.events import (
@@ -55,6 +57,22 @@ class TestEventStream:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match="non-negative"):
             EventStream((4, 4), [-1.0], [0], [0], [1])
+
+    @pytest.mark.parametrize("t, error", [
+        ([np.nan], "non-negative"),
+        ([np.nan, 1.0], "non-negative"),
+        ([1.0, np.nan, 2.0], "non-decreasing"),
+        ([1.0, 2.0, np.nan], "non-decreasing"),
+        ([1.0, np.inf], "finite"),
+        ([np.inf], "finite"),
+        ([-np.inf, 1.0], "non-negative"),
+    ])
+    def test_rejects_non_finite_time(self, t, error):
+        n = len(t)
+        with pytest.raises(ValueError, match=error):
+            EventStream((4, 4), t, [0] * n, [0] * n, [1] * n)
+        with pytest.raises(ValueError, match="timestamps"):
+            EventStream.from_arrays((4, 4), t, [0] * n, [0] * n, [1] * n)
 
     def test_arrays_read_only(self):
         s = EventStream((4, 4), [1.0], [0], [0], [1])
@@ -172,6 +190,69 @@ class TestTimeSurface:
                     expected[e.y, e.x] = e.t if np.isnan(cur) else max(cur, e.t)
             assert np.array_equal(np.isnan(surf.last_t), np.isnan(expected))
             assert np.allclose(surf.last_t[surf.occupied], expected[~np.isnan(expected)])
+
+
+def _oracle_make_event_frame(stream: EventStream, window: tuple[float, float]) -> EventFrame:
+    """Count events per pixel over [t_start, t_end)."""
+    t0, t1 = window
+    if t1 < t0:
+        raise ValueError(f"invalid window ({t0}, {t1})")
+    w, h = stream.resolution
+    counts = np.zeros((h, w), dtype=np.int64)
+    i0, i1 = stream.window_indices(t0, t1)
+    np.add.at(counts, (stream.y[i0:i1], stream.x[i0:i1]), 1)
+    return EventFrame(stream.resolution, counts, (float(t0), float(t1)))
+
+
+def _oracle_make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeSurface:
+    """Keep, per pixel, the latest event timestamp within [t_start, t_end)."""
+    t0, t1 = window
+    if t1 < t0:
+        raise ValueError(f"invalid window ({t0}, {t1})")
+    w, h = stream.resolution
+    last = np.full((h, w), -np.inf)
+    i0, i1 = stream.window_indices(t0, t1)
+    np.maximum.at(last, (stream.y[i0:i1], stream.x[i0:i1]), stream.t[i0:i1])
+    last[~np.isfinite(last)] = np.nan
+    return TimeSurface(stream.resolution, last, (float(t0), float(t1)))
+
+
+@st.composite
+def windowed_streams(draw):
+    """A stream on a small sensor, often one row or one column, and a window.
+
+    Pixels come from a small pool and timestamps from a few values, so pixels
+    repeat with equal and with different timestamps. The window edges are
+    event timestamps or the ends of the time range, and a window may be empty.
+    """
+    shape = draw(st.sampled_from(["one row", "one column", "any"]), label="shape")
+    w = 1 if shape == "one column" else draw(st.integers(2, 40), label="w")
+    h = 1 if shape == "one row" else draw(st.integers(2, 40), label="h")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(0, 60), label="n")
+    pixels = rng.integers(0, w * h, draw(st.integers(1, 8), label="pixels"))
+    times = np.round(rng.uniform(0.0, 100.0, draw(st.integers(1, 6), label="times")), 1)
+    k, t = rng.choice(pixels, n), rng.choice(times, n)
+    stream = EventStream.from_arrays((w, h), t, k % w, k // w, rng.choice([-1, 1], n))
+    edges = np.concatenate([times, [0.0, 100.0]])
+    a = float(rng.choice(edges))
+    b = a if draw(st.sampled_from(["empty", "any", "any", "any"]), label="window") == "empty" else float(rng.choice(edges))
+    return stream, (min(a, b), max(a, b))
+
+
+class TestFrameAndSurfaceMatchOracle:
+    """Frames and surfaces built on flat raster indices give the 2-D code's bytes."""
+
+    @settings(max_examples=300)
+    @given(windowed_streams())
+    def test_property(self, case):
+        stream, window = case
+        for make, oracle, field in ((make_event_frame, _oracle_make_event_frame, "counts"),
+                                    (make_time_surface, _oracle_make_time_surface, "last_t")):
+            got, want = make(stream, window), oracle(stream, window)
+            assert (got.resolution, got.window) == (want.resolution, want.window)
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 class TestVoxelGrid:

@@ -142,6 +142,8 @@ class TestEventStreamText:
         ("1.0,2,3,1,0", "4 fields"),
         ("1.0,2,3,one", "convert"),
         ("#1.0,2,3,1", "convert"),  # comment lines are not part of the format
+        ("nan,2,3,1", "non-negative"),  # after an event: "non-decreasing"
+        ("inf,2,3,1", "finite"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, error):
         path = tmp_path / "bad.txt"
