@@ -14,6 +14,7 @@ from .events import make_event_frame
 from .formats import format_cell, read_event_stream
 from .harness import (
     COMPARE_CSV_HEADER,
+    DUMP_KINDS,
     DWELL_CSV_HEADER,
     RATE_CSV_HEADER,
     ConfigError,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-dir", type=Path, default=None, help="artifact directory")
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sim.add_argument("--periods", type=int, default=None, help="override the period count")
-    sim.add_argument("--dump", nargs="+", choices=["events", "masks", "depth", "ply"], default=[],
+    sim.add_argument("--dump", nargs="+", choices=DUMP_KINDS, default=[],
                      help="artifact kinds to write per period")
     sim.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 

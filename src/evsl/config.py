@@ -36,10 +36,12 @@ class Scenario:
     guide_camera: GuideCameraModel = GuideCameraModel()
     seed: int = 0
     evaluate_plane: bool = True
-    out_dir: str | None = None
+    out_dir: str | None = None  # the CLI's dump directory default; run_scenario does not read it
     name: str = "scenario"
 
     def __post_init__(self):
+        if self.geometry.proj_resolution != self.projector.resolution:
+            raise ConfigError(f"geometry.proj_resolution: differs from the projector's {self.projector.resolution}")
         if self.periods < 1:
             raise ConfigError("run.periods: must be >= 1")
         needed = self.periods * self.projector.period_us
@@ -222,10 +224,7 @@ _SCENE_FIELDS = {
 
 _POLICIES = {
     "dense": (DensePolicy, {}),
-    "sparse": (SparsePolicy, {
-        "stride": (_integer(1), 16),
-        "grid": (_boolean, False),
-    }),
+    "sparse": (SparsePolicy, {"stride": (_integer(1), 16)}),
     "event_guided": (EventGuidedPolicy, {
         "median_kernel_px": (_integer(1), 3),
         "active_threshold": (_integer(1), 1),

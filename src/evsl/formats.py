@@ -1,9 +1,10 @@
 """File formats shared across the toolkit.
 
 - Event streams: text, header ``t_us,x,y,p`` then one event per line,
-  timestamps with at least three decimal places. The reader is strict: the
+  timestamps printed with six decimal places. The reader is strict: the
   header is required, each line holds exactly four comma-separated numbers,
-  and there are no comment lines. Empty lines are skipped.
+  x, y and p are integers that fit their int32/int8 columns, and there are
+  no comment lines. Empty lines are skipped.
 - Images: 16-bit binary PGM (P5, big-endian, maxval 65535). Depth maps get a
   sidecar ``<file>.meta`` declaring meters per grey unit; value 0 marks an
   invalid pixel.
@@ -30,11 +31,9 @@ from .events import DepthMap, EventStream
 from .policy import IlluminationMask
 
 
-def write_event_stream(stream: EventStream, path: str | os.PathLike, decimals: int = 6) -> None:
-    if decimals < 3:
-        raise ValueError("timestamps must carry at least 3 decimal places")
+def write_event_stream(stream: EventStream, path: str | os.PathLike) -> None:
     columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
-    body = (f"%.{decimals}f,%d,%d,%d\n" * len(stream)) % tuple(chain.from_iterable(zip(*columns)))
+    body = ("%.6f,%d,%d,%d\n" * len(stream)) % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_us,x,y,p\n")
         fh.write(body)
@@ -44,7 +43,8 @@ def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | Non
     """Load a stream; when ``resolution`` is omitted it is inferred as max+1.
 
     Raises ``ValueError`` on a wrong header, a line that is not four
-    comma-separated numbers, or a body with no events and no ``resolution``.
+    comma-separated numbers, an x, y or p that is not an integer of its
+    column's type, or a body with no events and no ``resolution``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -61,6 +61,10 @@ def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | Non
     if data.shape[1] != 4:
         raise ValueError(f"event lines must hold 4 fields t_us,x,y,p, got {data.shape[1]}")
     t, x, y, p = data.T
+    for name, column, dtype in (("x", x, np.int32), ("y", y, np.int32), ("p", p, np.int8)):
+        info = np.iinfo(dtype)
+        if not (info.min <= column.min() and column.max() <= info.max and np.array_equal(column, np.trunc(column))):
+            raise ValueError(f"event field {name} must hold {info.dtype} integers")
     if resolution is None:
         resolution = (int(x.max()) + 1, int(y.max()) + 1)
     return EventStream.from_arrays(resolution, t, x.astype(np.int32), y.astype(np.int32), p.astype(np.int8))

@@ -35,7 +35,7 @@ from .policy import (
     active_pixel_fraction, build_mask, detect_roi, median_filter_frame,
 )
 from .projector import (
-    SENSOR_PRESETS, SensorPreset, build_scan_plan, pixel_dwell_time, raster_event_rate, simulate_reflection_events,
+    SENSOR_PRESETS, build_scan_plan, pixel_dwell_time, raster_event_rate, simulate_reflection_events,
 )
 from .scene import generate_guide_events, render_scene
 
@@ -196,6 +196,9 @@ def _run_periods(variants: Sequence[Scenario], parallel: bool) -> Iterator[tuple
         yield from zip(streams, run(partial(run_period, variants), periods, streams, actives, (None, *rois[:-1])))
 
 
+DUMP_KINDS = ("events", "masks", "depth", "ply")
+
+
 def run_scenario(
     scenario: Scenario,
     parallel: bool = False,
@@ -204,23 +207,23 @@ def run_scenario(
 ) -> list[PeriodReport]:
     """Run every scan period and return one report each.
 
-    ``dump`` may contain any of "events", "masks", "depth", "ply"; artifacts
-    land in ``out_dir`` (which also receives periods.csv when set), in period
-    order. With ``parallel=True`` a 2-worker thread pool runs the guide stage
+    ``dump`` may contain any of :data:`DUMP_KINDS`; artifacts land in
+    ``out_dir``, in period order, with periods.csv. Nothing is written when
+    ``out_dir`` is None: ``scenario.out_dir`` is the CLI's default, not read
+    here. With ``parallel=True`` a 2-worker thread pool runs the guide stage
     of every period and then whole periods; outputs are identical either way.
     """
     dump = frozenset(dump)
-    unknown = dump - {"events", "masks", "depth", "ply"}
-    if unknown:
+    if unknown := dump - set(DUMP_KINDS):
         raise ConfigError(f"unknown dump kind(s): {sorted(unknown)}")
-    out_path = Path(out_dir) if out_dir is not None else (Path(scenario.out_dir) if scenario.out_dir else None)
-    if out_path is not None:
+    if out_dir is not None:
+        out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
     reports: list[PeriodReport] = []
     for p, (guide, (result,)) in enumerate(_run_periods([scenario], parallel)):
         reports.append(result.report)
-        if out_path is None:
+        if out_dir is None:
             continue
         tag = f"p{p:03d}"
         if "events" in dump:
@@ -234,7 +237,7 @@ def run_scenario(
             cloud = result.cloud if result.cloud is not None else depth_to_points(result.depth, scenario.geometry)
             write_ply(out_path / f"cloud_{tag}.ply", cloud)
 
-    if out_path is not None:
+    if out_dir is not None:
         write_period_csv(reports, out_path / "periods.csv")
     return reports
 
@@ -293,17 +296,14 @@ DWELL_CSV_HEADER = ["preset", "f_hz", "delta_t_s", "below_1us"]
 RATE_CSV_HEADER = ["preset", "f_hz", "event_rate_ev_s"]
 
 
-def sweep_dwell_time(
-    presets: Sequence[SensorPreset] = SENSOR_PRESETS,
-    frequencies_hz: Iterable[float] = range(50, 291, 10),
-) -> list[dict]:
+def sweep_dwell_time(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> list[dict]:
     """Dense dwell time per sensor preset across projector scan frequencies.
 
     Rows whose dwell time falls below the 1 us event-camera clock are
     flagged: those configurations cannot keep consecutive firings distinct.
     """
     rows = []
-    for preset in presets:
+    for preset in SENSOR_PRESETS:
         w, h = preset.resolution
         for f in frequencies_hz:
             dt = pixel_dwell_time(f, w, h)
@@ -311,21 +311,13 @@ def sweep_dwell_time(
     return rows
 
 
-def sweep_event_rate(
-    presets: Sequence[SensorPreset] = SENSOR_PRESETS,
-    frequencies_hz: Iterable[float] = range(50, 291, 10),
-    lit_fraction: float = 1.0,
-) -> list[dict]:
-    """Theoretical reflection event rate per preset across scan frequencies."""
+def sweep_event_rate(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> list[dict]:
+    """Theoretical dense reflection event rate per preset across scan frequencies."""
     rows = []
-    for preset in presets:
+    for preset in SENSOR_PRESETS:
         w, h = preset.resolution
         for f in frequencies_hz:
-            rows.append({
-                "preset": preset.name,
-                "f_hz": float(f),
-                "event_rate_ev_s": raster_event_rate(f, w, h, lit_fraction),
-            })
+            rows.append({"preset": preset.name, "f_hz": float(f), "event_rate_ev_s": raster_event_rate(f, w, h)})
     return rows
 
 

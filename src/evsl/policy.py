@@ -26,16 +26,9 @@ class DensePolicy:
 
 @dataclass(frozen=True)
 class SparsePolicy:
-    """Illuminate every Nth pixel.
-
-    ``grid`` switches from the default 1-D raster-index stride (every Nth
-    slot of the row-major scan, the reading under which the dwell time is
-    exactly N times the dense dwell) to a 2-D grid (every Nth column of
-    every Nth row).
-    """
+    """Illuminate every Nth slot of the row-major raster scan."""
 
     stride: int = 16
-    grid: bool = False
 
     def __post_init__(self):
         if self.stride < 1:
@@ -187,13 +180,10 @@ def detect_roi(
     return RoiSet(tuple(map(tuple, boxes.tolist())))
 
 
-def _stride_mask(resolution: tuple[int, int], stride: int, grid: bool = False) -> np.ndarray:
+def _stride_mask(resolution: tuple[int, int], stride: int) -> np.ndarray:
     w, h = resolution
     on = np.zeros((h, w), dtype=bool)
-    if grid:
-        on[::stride, ::stride] = True
-    else:
-        on.reshape(-1)[::stride] = True
+    on.reshape(-1)[::stride] = True
     return on
 
 
@@ -227,7 +217,7 @@ def build_mask(
     if isinstance(policy, DensePolicy):
         on = np.ones((h, w), dtype=bool)
     elif isinstance(policy, SparsePolicy):
-        on = _stride_mask(proj_resolution, policy.stride, policy.grid)
+        on = _stride_mask(proj_resolution, policy.stride)
     elif isinstance(policy, EventGuidedPolicy):
         on = _stride_mask(proj_resolution, policy.background_stride)
         for box in (rois.boxes if rois is not None else ()):

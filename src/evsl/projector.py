@@ -83,20 +83,18 @@ SENSOR_PRESETS: tuple[SensorPreset, ...] = (
 )
 
 
-def pixel_dwell_time(frequency_hz: float, width: int, height: int, stride: int = 1) -> float:
-    """Seconds between consecutive illuminated pixels for a given raster stride."""
-    if frequency_hz <= 0 or width <= 0 or height <= 0 or stride <= 0:
-        raise ValueError("all arguments must be positive")
-    return stride / (frequency_hz * width * height)
-
-
-def raster_event_rate(frequency_hz: float, width: int, height: int, lit_fraction: float = 1.0) -> float:
-    """Reflection events per second when a fraction of the raster is illuminated."""
+def pixel_dwell_time(frequency_hz: float, width: int, height: int) -> float:
+    """Seconds between consecutive raster slots of a dense scan."""
     if frequency_hz <= 0 or width <= 0 or height <= 0:
         raise ValueError("frequency and resolution must be positive")
-    if not (0.0 <= lit_fraction <= 1.0):
-        raise ValueError("lit_fraction must lie in [0, 1]")
-    return frequency_hz * width * height * lit_fraction
+    return 1.0 / (frequency_hz * width * height)
+
+
+def raster_event_rate(frequency_hz: float, width: int, height: int) -> float:
+    """Reflection events per second of a dense scan."""
+    if frequency_hz <= 0 or width <= 0 or height <= 0:
+        raise ValueError("frequency and resolution must be positive")
+    return float(frequency_hz * width * height)
 
 
 DEFAULT_JITTER_ANCHORS: tuple[tuple[float, float], ...] = ((1.0, 1.0), (10.0, 10.0), (265.0, 200.0))

@@ -203,8 +203,8 @@ def _parse_policy(sec: _Section) -> Policy:
         elif kind == "sparse":
             policy = SparsePolicy(
                 stride=sec.take_int("stride", 16, minimum=1),
-                grid=sec.take_bool("grid", False),
             )
+            sec.take_bool("grid", False)  # SparsePolicy no longer takes it
         else:
             policy = EventGuidedPolicy(
                 median_kernel_px=sec.take_int("median_kernel_px", 3, minimum=1),
@@ -399,7 +399,13 @@ def with_message_changes(mapping, outcome):
       is; the oracle read it as an empty mapping.
     - A ``null`` entry of ``scene.objects`` is not a mapping, as a string
       entry is not; the oracle read it as an empty mapping too.
+    - ``policy.grid`` is gone: a sparse policy that sets it fails on the
+      unknown key where the oracle built the scenario or checked the value.
     """
+    policy = mapping.get("policy")
+    if isinstance(policy, dict) and policy.get("kind") == "sparse" and "grid" in policy:
+        if isinstance(outcome, Scenario) or outcome[1].startswith("policy.grid: "):
+            return ConfigError, "unknown key(s): policy.grid"
     if isinstance(outcome, Scenario):
         return outcome
     kind, message = outcome
@@ -418,6 +424,9 @@ def bases():
     textured["guide_camera"] = {"noise_rate_hz": 1.0}
     textured["policy"] = {"kind": "event_guided", "first_period": "sparse"}
     yield "textured", textured
+    sparse = copy.deepcopy(MINIMAL_CONFIG)
+    sparse["policy"] = {"kind": "sparse", "stride": 4}
+    yield "sparse", sparse
     for name in SCENARIO_NAMES:
         yield name, yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())
 

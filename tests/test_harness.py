@@ -12,6 +12,7 @@ import evsl
 from evsl import harness
 from evsl.cli import main as cli_main
 from evsl.harness import (
+    DUMP_KINDS,
     ConfigError,
     Scenario,
     compare_sampling,
@@ -165,7 +166,7 @@ class TestScenarioConfig:
         (("noise", "jitter_anchors"), [["a", 1]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
         (("noise", "latency_us"), -1, "noise.latency_us: must be at least 0"),
         (("policy",), {"kind": "sparse", "stride": 0}, "policy.stride: must be at least 1"),
-        (("policy",), {"kind": "sparse", "grid": 1}, "policy.grid: expected true/false, got 1"),
+        (("policy",), {"kind": "sparse", "grid": True}, "unknown key(s): policy.grid"),
         (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy.dilation_px: must be at least 0"),
         (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
          "policy: median_kernel_px must be odd and >= 1"),
@@ -175,6 +176,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as info:
             parse_scenario(config_with(path, value))
         assert str(info.value) == message
+
+    def test_projector_resolution_held_once(self):
+        sc = tiny_scenario()
+        message = r"^geometry\.proj_resolution: differs from the projector's \(32, 24\)$"
+        with pytest.raises(ConfigError, match=message):
+            replace(sc, projector=evsl.ProjectorModel((32, 24), 60.0))
+        with pytest.raises(ConfigError, match="geometry.proj_resolution"):
+            replace(sc, geometry=replace(sc.geometry, proj_resolution=(32, 24)))
 
     def test_shipped_scenarios_load(self):
         for name in ("plane_compare", "moving_object", "stationary", "noiseless_plane"):
@@ -291,9 +300,6 @@ class TestRunScenario:
         assert depth.valid_count == r.valid_depth_pixels
 
 
-DUMP_KINDS = ("events", "masks", "depth", "ply")
-
-
 @st.composite
 def small_scenarios(draw):
     """Tiny scenarios with 1-4 objects, any policy kind, noise on or off."""
@@ -307,7 +313,7 @@ def small_scenarios(draw):
     )
     policy = draw(st.one_of(
         st.just(evsl.DensePolicy()),
-        st.builds(evsl.SparsePolicy, st.integers(1, 8), st.booleans()),
+        st.builds(evsl.SparsePolicy, st.integers(1, 8)),
         st.builds(
             evsl.EventGuidedPolicy,
             median_kernel_px=st.sampled_from([1, 3]),
@@ -323,39 +329,88 @@ def small_scenarios(draw):
     return tiny_scenario(policy, draw(st.integers(1, 3)), noise, draw(st.integers(0, 3)), objects)
 
 
+def check_parallel_equals_serial_and_counts(sc, mp):
+    """Run ``sc`` serially and in parallel with every dump kind: equal reports and bytes, conserved tallies."""
+    tallies = []
+
+    def recording(stage):
+        def wrapper(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            tallies.append((args[0], result[1]))
+            return result
+        return wrapper
+
+    for name in ("simulate_reflection_events", "reconstruct_depth"):
+        mp.setattr(harness, name, recording(getattr(harness, name)))
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, parallel = Path(tmp, "serial"), Path(tmp, "parallel")
+        reports = run_scenario(sc, dump=DUMP_KINDS, out_dir=serial)
+        assert run_scenario(sc, parallel=True, dump=DUMP_KINDS, out_dir=parallel) == reports
+        names = sorted(path.name for path in serial.iterdir())
+        assert names == sorted(path.name for path in parallel.iterdir())
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    assert len(tallies) == 2 * 2 * sc.periods
+    for first_arg, tally in tallies:
+        if "fired" in tally:
+            lost = tally["dropped"] + tally["out_of_frame"] + tally["invalid_depth"]
+            assert tally["fired"] == tally["emitted"] + lost
+        else:
+            w, h = first_arg.resolution
+            failed = tally["no_event"] + tally["row_mismatch"] + tally["nonpositive_disparity"]
+            assert failed + tally["valid"] == w * h
+    return reports
+
+
 class TestPeriodProperties:
     @settings(max_examples=40)
     @given(small_scenarios())
     def test_parallel_equals_serial_and_counts_are_conserved(self, sc):
-        tallies = []
+        with pytest.MonkeyPatch.context() as mp:
+            check_parallel_equals_serial_and_counts(sc, mp)
 
-        def recording(stage):
-            def wrapper(*args, **kwargs):
-                result = stage(*args, **kwargs)
-                tallies.append((args[0], result[1]))
-                return result
-            return wrapper
 
-        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-            for name in ("simulate_reflection_events", "reconstruct_depth"):
-                mp.setattr(harness, name, recording(getattr(harness, name)))
-            serial, parallel = Path(tmp, "serial"), Path(tmp, "parallel")
-            reports = run_scenario(sc, dump=DUMP_KINDS, out_dir=serial)
-            assert run_scenario(sc, parallel=True, dump=DUMP_KINDS, out_dir=parallel) == reports
-            names = sorted(path.name for path in serial.iterdir())
-            assert names == sorted(path.name for path in parallel.iterdir())
-            for name in names:
-                assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+class TestSceneResolutionDiffers:
+    """A 32x24 scene behind a 64x48 projector and camera: depth is resampled, ROIs scaled by 2."""
 
-        assert len(tallies) == 2 * 2 * sc.periods
-        for first_arg, tally in tallies:
-            if "fired" in tally:
-                lost = tally["dropped"] + tally["out_of_frame"] + tally["invalid_depth"]
-                assert tally["fired"] == tally["emitted"] + lost
-            else:
-                w, h = first_arg.resolution
-                failed = tally["no_event"] + tally["row_mismatch"] + tally["nonpositive_disparity"]
-                assert failed + tally["valid"] == w * h
+    def scenario(self):
+        sc = tiny_scenario(noise=evsl.NoiseModel(), objects=(
+            evsl.MovingObject(5, 5, 6, 4, (0.0003, 0.0), 1.9995, 0.95),
+            evsl.MovingObject(20, 14, 4, 6, (0.0, -0.00015), 1.5, 0.2),
+        ))
+        return replace(sc, script=replace(sc.script, resolution=(32, 24)))
+
+    def test_parallel_equals_serial_and_counts_are_conserved(self, monkeypatch):
+        resamples = []
+        resample = harness._resample_depth
+
+        def recording(depth_map, resolution):
+            resamples.append((depth_map.resolution, resolution))
+            return resample(depth_map, resolution)
+
+        monkeypatch.setattr(harness, "_resample_depth", recording)
+        reports = check_parallel_equals_serial_and_counts(self.scenario(), monkeypatch)
+        assert resamples and set(resamples) == {((32, 24), (64, 48))}
+        assert all(r.valid_depth_pixels > 0 for r in reports)
+
+    def test_every_scaled_roi_is_lit(self, monkeypatch):
+        guided = []
+        build = harness.build_mask
+
+        def recording(policy, resolution, rois=None, scale=(1.0, 1.0)):
+            mask = build(policy, resolution, rois, scale)
+            if rois is not None:
+                guided.append((resolution, rois, scale, mask))
+            return mask
+
+        monkeypatch.setattr(harness, "build_mask", recording)
+        run_scenario(self.scenario())
+        assert len(guided) == 2  # periods 1 and 2 follow guidance
+        for resolution, rois, scale, mask in guided:
+            assert resolution == (64, 48) and scale == (2.0, 2.0) and rois.boxes
+            for x0, y0, x1, y1 in rois.boxes:  # scene pixel (x, y) covers projector pixels 2x..2x+1
+                assert mask.on[2 * y0:2 * y1 + 2, 2 * x0:2 * x1 + 2].all()
 
 
 def oracle_compare_sampling(scenario):

@@ -330,13 +330,6 @@ class TestBuildMask:
             build_mask(DensePolicy(), (13, 7)).on,
         )
 
-    def test_sparse_grid_mode(self):
-        mask = build_mask(SparsePolicy(4, grid=True), (16, 16))
-        on = mask.on
-        assert on[0, 0] and on[0, 4] and on[4, 0]
-        assert not on[0, 1] and not on[1, 0]
-        assert mask.fraction == pytest.approx(1.0 / 16)
-
     def test_event_guided_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         policy = EventGuidedPolicy(background_stride=16)
