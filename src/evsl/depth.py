@@ -111,16 +111,24 @@ def depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud
 
 
 def fit_plane(points: PointCloud) -> PlaneFit:
-    """Total-least-squares plane fit: minimizes squared point-to-plane distance."""
+    """Total-least-squares plane fit: minimizes squared point-to-plane distance.
+
+    The normal is the 3x3 scatter matrix's eigenvector of least eigenvalue. Where
+    its eigenvalues span more than 1e10 the squared condition number costs digits,
+    so the SVD of the centred points gives the normal and rejects collinear points.
+    """
     xyz = points.xyz
     if len(xyz) < 3:
         raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
     centroid = xyz.mean(axis=0)
     centered = xyz - centroid
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[0] <= 0 or s[1] <= 1e-12 * s[0]:
-        raise DegenerateInputError("plane fit needs >= 3 non-collinear points")
-    normal = vt[-1]
+    lam, vec = np.linalg.eigh(centered.T @ centered)
+    normal = vec[:, 0]
+    if not lam[0] >= 1e-10 * lam[2] > 0:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        if s[0] <= 0 or s[1] <= 1e-12 * s[0]:
+            raise DegenerateInputError("plane fit needs >= 3 non-collinear points")
+        normal = vt[-1]
     d = float(normal @ centroid)
     if d < 0 or (d == 0 and normal[np.flatnonzero(normal)[0]] < 0):
         normal, d = -normal, -d

@@ -54,6 +54,8 @@ class EventStream:
         w, h = self.resolution
         if w < 1 or h < 1:
             raise ValueError(f"invalid resolution {self.resolution!r}")
+        if not np.all(np.abs(np.asarray(self.p)) == 1):  # before the int8 cast, which wraps 257 to 1
+            raise ValueError("polarity must be -1 or +1")
         for name, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32), ("p", np.int8)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         t, x, y, p = self.t, self.x, self.y, self.p
@@ -69,8 +71,6 @@ class EventStream:
                 raise ValueError("event timestamps must be finite")
             if x.min() < 0 or x.max() >= w or y.min() < 0 or y.max() >= h:
                 raise ValueError("event coordinates outside resolution")
-            if not np.all(np.abs(p) == 1):
-                raise ValueError("polarity must be -1 or +1")
         object.__setattr__(self, "resolution", (int(w), int(h)))
 
     @classmethod

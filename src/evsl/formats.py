@@ -13,9 +13,10 @@
 - Tables: UTF-8 CSV with a header row; floats printed with %.9g so repeated
   runs are byte-identical.
 
-The event-stream and PLY writers format a whole array with one ``%``
-operation over its ``tolist()`` values, which prints each value exactly as
-formatting that value alone would.
+The PLY writer formats a whole array, the event writer each 65,536 events,
+with one ``%`` operation over the ``tolist()`` values, which prints each value
+exactly as formatting it alone would. When every timestamp is a non-negative
+integer (no ``-0.0``), the event writer prints them from int64 as ``%d.000000``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,16 @@ from .policy import IlluminationMask
 
 
 def write_event_stream(stream: EventStream, path: str | os.PathLike) -> None:
-    columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
-    body = ("%.6f,%d,%d,%d\n" * len(stream)) % tuple(chain.from_iterable(zip(*columns)))
+    t = stream.t
+    # Integral timestamps print exactly as int64 values, but -0.0 must stay "-0.000000".
+    integral = not np.signbit(t).any() and t.max(initial=0.0) < 2.0**63 and np.array_equal(t, np.floor(t))
+    line = "%d.000000,%d,%d,%d\n" if integral else "%.6f,%d,%d,%d\n"
+    t = t.astype(np.int64) if integral else t
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_us,x,y,p\n")
-        fh.write(body)
+        for i in range(0, len(t), 65536):  # bounds the Python objects alive at once
+            columns = [c[i:i + 65536].tolist() for c in (t, stream.x, stream.y, stream.p)]
+            fh.write((line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | None = None) -> EventStream:

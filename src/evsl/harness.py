@@ -302,23 +302,16 @@ def sweep_dwell_time(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> li
     Rows whose dwell time falls below the 1 us event-camera clock are
     flagged: those configurations cannot keep consecutive firings distinct.
     """
-    rows = []
-    for preset in SENSOR_PRESETS:
-        w, h = preset.resolution
-        for f in frequencies_hz:
-            dt = pixel_dwell_time(f, w, h)
-            rows.append({"preset": preset.name, "f_hz": float(f), "delta_t_s": dt, "below_1us": dt < 1e-6})
-    return rows
+    frequencies_hz = tuple(frequencies_hz)  # iterated once per preset
+    dts = [(p.name, f, pixel_dwell_time(f, *p.resolution)) for p in SENSOR_PRESETS for f in frequencies_hz]
+    return [{"preset": name, "f_hz": float(f), "delta_t_s": dt, "below_1us": dt < 1e-6} for name, f, dt in dts]
 
 
 def sweep_event_rate(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> list[dict]:
     """Theoretical dense reflection event rate per preset across scan frequencies."""
-    rows = []
-    for preset in SENSOR_PRESETS:
-        w, h = preset.resolution
-        for f in frequencies_hz:
-            rows.append({"preset": preset.name, "f_hz": float(f), "event_rate_ev_s": raster_event_rate(f, w, h)})
-    return rows
+    frequencies_hz = tuple(frequencies_hz)  # iterated once per preset
+    return [{"preset": p.name, "f_hz": float(f), "event_rate_ev_s": raster_event_rate(f, *p.resolution)}
+            for p in SENSOR_PRESETS for f in frequencies_hz]
 
 
 def write_sweep_csv(rows: Sequence[dict], header: Sequence[str], path: str | os.PathLike) -> None:

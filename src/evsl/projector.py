@@ -216,21 +216,22 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _U64(31))
 
 
-def _keyed_uniforms(seed: int, sequence: int, ks: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) (or (0, 1]) keyed by raster index."""
+def _keyed_hash(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
+    """Hash of (seed, sequence, raster index) per key; each noise stream derives from it."""
     keys = _splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
     base = _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
-    h = _splitmix64(ks.astype(_U64) ^ base)
+    return _splitmix64(ks.astype(_U64) ^ base)
+
+
+def _keyed_uniforms(h: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
+    """Deterministic uniforms in [0, 1) (or (0, 1]) of one stream, from :func:`_keyed_hash` values."""
     h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
     mantissa = (h >> _U64(11)).astype(np.float64)
-    if open_low:
-        return (mantissa + 1.0) * 2.0**-53
-    return mantissa * 2.0**-53
+    return (mantissa + 1.0) * 2.0**-53 if open_low else mantissa * 2.0**-53
 
 
-def _keyed_normals(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
-    u1 = _keyed_uniforms(seed, sequence, ks, stream=1, open_low=True)
-    u2 = _keyed_uniforms(seed, sequence, ks, stream=2)
+def _keyed_normals(h: np.ndarray) -> np.ndarray:
+    u1, u2 = _keyed_uniforms(h, stream=1, open_low=True), _keyed_uniforms(h, stream=2)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -254,6 +255,7 @@ def simulate_reflection_events(
     Noise is drawn only for firings that land in frame. That is exact: each
     draw is keyed by raster index, so a firing's jitter and drop do not depend
     on which others are drawn. Jitter sigma still follows all the plan's firings.
+    Quantized events are ordered by integer clock tick, which is their time order.
 
     Returns the time-sorted stream and a tally of discarded firings.
     """
@@ -277,17 +279,23 @@ def simulate_reflection_events(
         # Acceptance criterion 4's noise ordering across policies rests on it.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
-            t = t + sigma * _keyed_normals(noise.seed, sequence, k)
+            t = t + sigma * _keyed_normals(_keyed_hash(noise.seed, sequence, k))
     if noise.drop_probability > 0:
-        kept = _keyed_uniforms(noise.seed, sequence, k, stream=3) >= noise.drop_probability
+        kept = _keyed_uniforms(_keyed_hash(noise.seed, sequence, k), stream=3) >= noise.drop_probability
         landed, t = landed[kept], t[kept]
     if noise.quantization_us > 0:
-        t = np.floor(t / noise.quantization_us + 0.5) * noise.quantization_us
-    t = np.maximum(t, 0.0)
+        # n * q keeps the order of distinct ticks n; a uint16 key makes the stable sort a radix sort
+        n = np.maximum(np.floor(t / noise.quantization_us + 0.5), 0.0)
+        key = n - n.min(initial=np.inf)
+        order = np.argsort(key.astype(np.uint16) if key.max(initial=0.0) <= 0xFFFF else n, kind="stable")
+        t = n[order] * noise.quantization_us
+    else:
+        t = np.maximum(t, 0.0)
+        order = np.argsort(t, kind="stable")
+        t = t[order]
 
     invalid_depth = len(plan) - int(depth_ok.sum())
     tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
              "out_of_frame": len(plan) - invalid_depth - len(k), "dropped": len(k) - len(landed)}
-    ones = np.ones(len(landed), dtype=np.int8)
-    stream = EventStream.from_arrays(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], ones)
-    return stream, tally
+    landed = landed[order]
+    return EventStream(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)), tally

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evsl.depth import (
     DegenerateInputError,
+    PlaneFit,
     PointCloud,
     decode_projector_indices,
     depth_to_points,
@@ -409,3 +410,61 @@ class TestFitPlane:
         fit = fit_plane(PointCloud(xyz))
         assert np.linalg.norm(fit.normal) == pytest.approx(1.0, abs=1e-9)
 
+
+
+def _oracle_fit_plane(points: PointCloud) -> PlaneFit:
+    """Total-least-squares plane fit: minimizes squared point-to-plane distance.
+
+    The SVD-only fit as it was before the scatter-matrix eigenvector path."""
+    xyz = points.xyz
+    if len(xyz) < 3:
+        raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
+    centroid = xyz.mean(axis=0)
+    centered = xyz - centroid
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    if s[0] <= 0 or s[1] <= 1e-12 * s[0]:
+        raise DegenerateInputError("plane fit needs >= 3 non-collinear points")
+    normal = vt[-1]
+    d = float(normal @ centroid)
+    if d < 0 or (d == 0 and normal[np.flatnonzero(normal)[0]] < 0):
+        normal, d = -normal, -d
+    rms = float(np.sqrt(np.mean((centered @ normal) ** 2)))
+    return PlaneFit(tuple(float(v) for v in normal), d, rms)
+
+
+@st.composite
+def plane_clouds(draw):
+    """Planar clouds with noise 1e-9..1e-1, exact planes, near-collinear clouds and duplicates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(3, 300), label="n")
+    kind = draw(st.sampled_from(["noisy", "exact", "axis_exact", "near_collinear", "duplicates"]), label="kind")
+    origin = rng.normal(size=3) * draw(st.sampled_from([0.0, 1.0, 100.0]), label="offset")
+    u, v = rng.normal(size=3), rng.normal(size=3)
+    a, b = rng.uniform(-1, 1, (n, 1)) * draw(st.sampled_from([0.01, 1.0, 5.0])), rng.uniform(-1, 1, (n, 1))
+    if kind == "noisy":
+        noise = 10.0 ** draw(st.floats(-9, -1), label="log10_noise")
+        return origin + a * u + b * v + rng.normal(size=(n, 1)) * noise * np.cross(u, v)
+    if kind == "exact":
+        return origin + a * u + b * v
+    if kind == "axis_exact":
+        return np.column_stack([a[:, 0], b[:, 0], np.full(n, origin[2])])
+    if kind == "near_collinear":
+        return origin + a * u + b * 10.0 ** draw(st.floats(-15, -3), label="log10_offset") * v
+    distinct = origin + np.vstack([a * u + b * v, np.zeros((1, 3))])[: draw(st.integers(1, 4), label="distinct")]
+    return distinct[rng.integers(0, len(distinct), n)]
+
+
+def _fit_text(fit, xyz):
+    try:
+        return "%.9g" % fit(PointCloud(xyz)).rms
+    except DegenerateInputError:
+        return "degenerate"
+
+
+class TestFitPlaneMatchesOracle:
+    """The scatter-matrix fit gives the SVD fit's verdict and its rms at %.9g."""
+
+    @settings(max_examples=150)
+    @given(plane_clouds())
+    def test_property(self, xyz):
+        assert _fit_text(fit_plane, xyz) == _fit_text(_oracle_fit_plane, xyz)

@@ -54,6 +54,17 @@ class TestEventStream:
         with pytest.raises(ValueError, match="polarity"):
             EventStream((4, 4), [1.0], [0], [0], [2])
 
+    @pytest.mark.parametrize("p", [np.array([257]), np.array([-255]), np.array([1.5]), [257], [-1, 1.5]])
+    def test_rejects_polarity_the_int8_cast_would_wrap(self, p):
+        # 257 and -255 wrap to 1 and 1.5 truncates to 1 in int8, so check before the cast
+        t = np.arange(len(p), dtype=np.float64)
+        with pytest.raises(ValueError, match="polarity"):
+            EventStream((4, 4), t, np.zeros(len(p)), np.zeros(len(p)), p)
+
+    def test_float_unit_polarity_accepted(self):
+        s = EventStream((4, 4), [0.0, 1.0], [0, 1], [0, 1], np.array([1.0, -1.0]))
+        assert s.p.dtype == np.int8 and list(s.p) == [1, -1]
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match="non-negative"):
             EventStream((4, 4), [-1.0], [0], [0], [1])

@@ -1,4 +1,5 @@
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,15 @@ def _oracle_write_event_stream(stream, path):
         fh.write("t_us,x,y,p\n")
         for i in range(len(stream)):
             fh.write(f"{stream.t[i]:.6f},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+
+
+def _oracle_write_event_stream_f6(stream, path):
+    """The vectorised writer before integral timestamps got their own path: ``%.6f`` always."""
+    columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+    body = ("%.6f,%d,%d,%d\n" * len(stream)) % tuple(chain.from_iterable(zip(*columns)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t_us,x,y,p\n")
+        fh.write(body)
 
 
 def _oracle_read_event_stream(path, resolution=None):
@@ -204,6 +214,60 @@ class TestTextCodecMatchesOracle:
         assert_same_stream(read_event_stream(path, (w, h)), _oracle_read_event_stream(path, (w, h)))
         if len(stream):
             assert_same_stream(read_event_stream(path), _oracle_read_event_stream(path))
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(0, 300),
+        kind=st.sampled_from(["integral", "mixed", "fractional"]),
+        t_max=st.sampled_from([10.0, 1e4, 1e7, 1e12, 2.0**53, 2.0**62]),
+        t_drawn=st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1e7, 1e7 + 0.25, 2.0**53, 2.0**63 - 1024, 2.0**63, 1e19, 1e300])
+            | st.floats(0.0, 1e8) | st.integers(0, 10**12).map(float), max_size=4),
+        negative_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integral_timestamps_match_f6_writer(self, tmp_path_factory, n, kind, t_max, t_drawn, negative_zero, seed):
+        # streams that are all integral, hold -0.0, reach 2**63 and beyond, or mix in fractions
+        rng = np.random.default_rng(seed)
+        t = np.floor(rng.uniform(0.0, t_max, n))
+        if kind != "integral":
+            fractional = rng.random(n) < (1.0 if kind == "fractional" else 0.05)
+            t[fractional] += rng.choice([0.5, 0.25, 1e-6, 0.9999995], int(fractional.sum()))
+        t = np.concatenate([t, t_drawn, [-0.0] * negative_zero])
+        w, h = (int(v) for v in rng.integers(1, 2000, 2))
+        stream = EventStream.from_arrays(
+            (w, h), t, rng.integers(0, w, len(t)), rng.integers(0, h, len(t)), rng.choice([-1, 1], len(t))
+        )
+        path = tmp_path_factory.mktemp("events") / "events.txt"
+        _oracle_write_event_stream_f6(stream, path)
+        want = path.read_bytes()
+        write_event_stream(stream, path)
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_streams_longer_than_one_chunk(self, tmp_path, fraction):
+        # the writer formats 65,536 events at a time; cross a chunk boundary
+        n = 65536 + 1
+        t = np.arange(n, dtype=np.float64) + np.where(np.arange(n) == n - 1, fraction, 0.0)
+        stream = EventStream((7, 5), t, np.arange(n) % 7, np.arange(n) % 5, np.where(np.arange(n) % 3, 1, -1))
+        _oracle_write_event_stream_f6(stream, tmp_path / "oracle")
+        write_event_stream(stream, tmp_path / "events")
+        assert (tmp_path / "events").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+    @pytest.mark.parametrize(
+        "t", [[2.0**63 - 1024, 2.0**63], [1e19, 1e300], [2.0**53, 2.0**53 + 2], [0.0, 1e7, 1e7 + 0.5]])
+    def test_integral_edges_match_f6_writer(self, tmp_path, t):
+        # int64 holds integral floats exactly only below 2**63
+        stream = EventStream((4, 4), np.array(t), np.zeros(len(t)), np.zeros(len(t)), np.ones(len(t)))
+        _oracle_write_event_stream_f6(stream, tmp_path / "oracle")
+        write_event_stream(stream, tmp_path / "events")
+        assert (tmp_path / "events").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+    def test_negative_zero_timestamp_keeps_its_sign(self, tmp_path):
+        stream = EventStream((4, 4), np.array([-0.0, 0.0, 3.0]), [0, 1, 2], [0, 0, 0], [1, -1, 1])
+        write_event_stream(stream, tmp_path / "e.txt")
+        lines = (tmp_path / "e.txt").read_text().splitlines()
+        assert lines[1:] == ["-0.000000,0,0,1", "0.000000,1,0,-1", "3.000000,2,0,1"]
 
     @settings(max_examples=200)
     @given(xyz=st.lists(st.tuples(*[st.floats(-3e38, 3e38) | st.floats(-1e-40, 1e-40)] * 3), max_size=200))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import evsl
 from evsl import harness
 from evsl.cli import main as cli_main
+from evsl.projector import SENSOR_PRESETS
 from evsl.harness import (
     DUMP_KINDS,
     ConfigError,
@@ -516,6 +517,12 @@ class TestSweeps:
         gen4 = [r for r in rows if r["preset"] == "Gen4_CD"]
         assert gen4[0]["event_rate_ev_s"] == pytest.approx(46.08e6)
         assert gen4[1]["event_rate_ev_s"] == pytest.approx(267.264e6)
+
+    @pytest.mark.parametrize("sweep", [sweep_dwell_time, sweep_event_rate])
+    def test_iterator_gives_rows_for_every_preset(self, sweep):
+        rows = sweep(frequencies_hz=iter([60, 70]))
+        assert len(rows) == 2 * len(SENSOR_PRESETS)
+        assert rows == sweep(frequencies_hz=[60, 70])
 
     def test_dvs128_growth_small(self):
         rows = [r for r in sweep_event_rate(frequencies_hz=range(50, 291, 10)) if r["preset"] == "DVS128"]

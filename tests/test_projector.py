@@ -12,8 +12,12 @@ from evsl.projector import (
     SENSOR_PRESETS,
     ScanPlan,
     SensorGeometry,
+    _MASK64,
+    _U64,
+    _keyed_hash,
     _keyed_normals,
     _keyed_uniforms,
+    _splitmix64,
     build_scan_plan,
     pixel_dwell_time,
     raster_event_rate,
@@ -248,6 +252,48 @@ class TestSimulateReflection:
         assert np.all(stream.t >= 0)
 
 
+def oracle_keyed_uniforms(seed: int, sequence: int, ks: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
+    """The keyed uniforms as they were before one hash per key served every stream."""
+    keys = _splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
+    base = _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
+    h = _splitmix64(ks.astype(_U64) ^ base)
+    h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
+    mantissa = (h >> _U64(11)).astype(np.float64)
+    if open_low:
+        return (mantissa + 1.0) * 2.0**-53
+    return mantissa * 2.0**-53
+
+
+def oracle_keyed_normals(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
+    u1 = oracle_keyed_uniforms(seed, sequence, ks, stream=1, open_low=True)
+    u2 = oracle_keyed_uniforms(seed, sequence, ks, stream=2)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+class TestKeyedNoiseMatchesOracle:
+    """Hashing each key once gives every stream the bytes of hashing it per stream."""
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**31, 2**63]),
+        sequence=st.integers(0, 2**40),
+        n=st.integers(0, 300),
+        key_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, seed, sequence, n, key_seed):
+        ks = np.random.default_rng(key_seed).integers(0, 2**40, n)
+        h = _keyed_hash(seed, sequence, ks)
+        got = (_keyed_uniforms(h, 1, open_low=True), _keyed_uniforms(h, 2), _keyed_uniforms(h, 3), _keyed_normals(h))
+        want = (
+            oracle_keyed_uniforms(seed, sequence, ks, 1, open_low=True),
+            oracle_keyed_uniforms(seed, sequence, ks, 2),
+            oracle_keyed_uniforms(seed, sequence, ks, 3),
+            oracle_keyed_normals(seed, sequence, ks),
+        )
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def oracle_simulate_reflection_events(
     plan: ScanPlan,
     scene_depth: DepthMap,
@@ -257,7 +303,8 @@ def oracle_simulate_reflection_events(
 ) -> tuple[EventStream, dict[str, int]]:
     """The simulator as it was before it drew noise only for landing firings:
     every firing gets its jitter and drop, and the out-of-frame ones are
-    discarded afterwards."""
+    discarded afterwards. It quantizes to float times and orders them with the
+    stable float sort of ``EventStream.from_arrays``, not on clock ticks."""
     if scene_depth.resolution != plan.resolution:
         raise ValueError(
             f"depth resolution {scene_depth.resolution} does not match plan {plan.resolution}"
@@ -281,10 +328,10 @@ def oracle_simulate_reflection_events(
         # Acceptance criterion 4's noise ordering across policies rests on it.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
-            t = t + sigma * _keyed_normals(noise.seed, sequence, plan.k)
+            t = t + sigma * oracle_keyed_normals(noise.seed, sequence, plan.k)
     dropped = np.zeros(len(plan), dtype=bool)
     if noise.drop_probability > 0:
-        u = _keyed_uniforms(noise.seed, sequence, plan.k, stream=3)
+        u = oracle_keyed_uniforms(noise.seed, sequence, plan.k, stream=3)
         dropped = u < noise.drop_probability
     if noise.quantization_us > 0:
         t = np.floor(t / noise.quantization_us + 0.5) * noise.quantization_us
@@ -329,7 +376,8 @@ def reflection_cases(draw):
         # so the last anchors make sigma depend on the plan's firing rate
         jitter_anchors=draw(st.sampled_from([(), DEFAULT_JITTER_ANCHORS, ((1e-4, 0.5), (0.1, 40.0))])),
         drop_probability=draw(st.sampled_from([0.0, 0.1, 1.0])),
-        quantization_us=draw(st.sampled_from([0.0, 1.0])),
+        # at 60 Hz a 0.25 us clock gives a period more ticks than a uint16 key holds
+        quantization_us=draw(st.sampled_from([0.0, 0.25, 1.0, 2.5])),
         seed=draw(st.integers(0, 2**31), label="noise_seed"),
     )
     return plan, DepthMap((pw, ph), depth, valid), geometry, noise, draw(st.integers(0, 50), label="sequence")
@@ -345,7 +393,22 @@ class TestReflectionMatchesOracle:
         got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence)
         want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence)
         assert list(got_tally.items()) == list(want_tally.items())
-        assert got.resolution == want.resolution
-        for name in "txyp":
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("quantization_us", [0.0, 0.25, 1.0, 2.5])
+    def test_dense_period_each_sort_key(self, quantization_us):
+        # a dense 64x48 period at 60 Hz spans 66,667 ticks of 0.25 us, past the uint16 key
+        geom, proj, depth = plane_setup()
+        plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
+        nm = NoiseModel(latency_us=3.7, quantization_us=quantization_us, seed=4)
+        got, got_tally = simulate_reflection_events(plan, depth, geom, nm, sequence=2)
+        want, want_tally = oracle_simulate_reflection_events(plan, depth, geom, nm, sequence=2)
+        assert got_tally == want_tally
+        assert_same_stream(got, want)
+
+
+def assert_same_stream(got, want):
+    assert got.resolution == want.resolution
+    for name in "txyp":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
