@@ -4,7 +4,9 @@ Each camera pixel's latest event timestamp identifies the projector raster
 slot that produced it; depth follows from the disparity between the slot's
 column and the camera column in the rectified geometry. Reconstructions of
 planar targets are scored by total-least-squares plane fitting. Decode and
-back-projection address camera pixels by flat raster index ``y * W + x``.
+back-projection address camera pixels by flat raster index ``y * W + x``
+and split it into row and column in int32. The decode writes validity for
+every occupied pixel, so a pixel that fails a check is written invalid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DepthMap, TimeSurface, _frozen
+from .events import DepthMap, TimeSurface, _frozen, _row_col
 from .projector import ProjectorModel, SensorGeometry
 
 
@@ -49,12 +51,14 @@ def decode_projector_indices(t_us: np.ndarray, projector: ProjectorModel, t0_us:
     """Vectorized timestamp -> (row, col) decode against the dense raster clock.
 
     Rounds to the nearest raster slot and clamps to the frame; callers are
-    responsible for period-bounds checks.
+    responsible for period-bounds checks. Rows and columns are int32, as in
+    :class:`~evsl.projector.ScanPlan`.
     """
     w, h = projector.resolution
-    k = np.floor((np.asarray(t_us, dtype=np.float64) - t0_us) / projector.dwell_time_us + 0.5)
-    k = np.clip(k, 0, w * h - 1).astype(np.int64)
-    return k // w, k % w
+    k = np.subtract(t_us, t0_us, dtype=np.float64)  # floor((t - t0) / dwell + 0.5), in place
+    k /= projector.dwell_time_us
+    k += 0.5
+    return _row_col(np.clip(np.floor(k, out=k), 0, w * h - 1, out=k), w)
 
 
 def reconstruct_depth(
@@ -68,7 +72,8 @@ def reconstruct_depth(
     Pixels with no event, a decoded projector row disagreeing with the camera
     row by more than one (timing noise near row boundaries flips rows), or
     non-positive disparity come back invalid; the tally reports each failure
-    class.
+    class. Every occupied pixel gets its validity and its depth written, +0.0
+    where it is invalid, so no mask compresses the decoded pixels.
     """
     w0, w1 = surface.window
     if abs((w1 - w0) - projector.period_us) > 1e-6 * projector.period_us or abs(w0 - t0_us) > 1e-6 * max(1.0, abs(t0_us)):
@@ -80,20 +85,17 @@ def reconstruct_depth(
     valid = np.zeros(cam_w * cam_h, dtype=bool)
 
     flat = np.flatnonzero(surface.occupied)
-    ys, xs = np.divmod(flat, cam_w)
-    rows, cols = decode_projector_indices(np.take(surface.last_t, flat), projector, t0_us)
+    ys, xs = _row_col(flat, cam_w)
+    rows, disparity = decode_projector_indices(np.take(surface.last_t, flat), projector, t0_us)
     row_ok = np.abs(rows - ys) <= 1
-    disparity = cols - xs
-    disp_ok = disparity > 0
-    ok = row_ok & disp_ok
-    depth[flat[ok]] = geometry.focal_length_px * geometry.baseline_m / disparity[ok]
-    valid[flat[ok]] = True
-    tally = {
-        "no_event": cam_w * cam_h - len(flat),
-        "row_mismatch": int((~row_ok).sum()),
-        "nonpositive_disparity": int((row_ok & ~disp_ok).sum()),
-        "valid": int(ok.sum()),
-    }
+    disparity -= xs
+    ok = (disparity > 0) & row_ok
+    valid[flat] = ok
+    z = np.where(ok, disparity, np.inf)  # f * b is finite, so an invalid pixel gets f * b / inf = +0.0
+    depth[flat] = np.divide(geometry.focal_length_px * geometry.baseline_m, z, out=z)
+    n_ok, n_row_ok = int(np.count_nonzero(ok)), int(np.count_nonzero(row_ok))
+    tally = {"no_event": cam_w * cam_h - len(flat), "row_mismatch": len(flat) - n_row_ok,
+             "nonpositive_disparity": n_row_ok - n_ok, "valid": n_ok}
     return DepthMap(surface.resolution, depth.reshape(cam_h, cam_w), valid.reshape(cam_h, cam_w)), tally
 
 
@@ -103,7 +105,7 @@ def depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud
         raise ValueError(f"depth resolution {depth_map.resolution} does not match camera {geometry.cam_resolution}")
     cam_w, cam_h = geometry.cam_resolution
     flat = np.flatnonzero(depth_map.valid)
-    ys, xs = np.divmod(flat, cam_w)
+    ys, xs = _row_col(flat, cam_w)
     z = np.take(depth_map.depth, flat)
     x = (xs - cam_w / 2.0) * z / geometry.focal_length_px
     y = (ys - cam_h / 2.0) * z / geometry.focal_length_px

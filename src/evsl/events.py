@@ -5,7 +5,9 @@ raster steps and timing noise stay representable; quantization to a camera's
 clock is an explicit step in the projector simulator. Every time window is
 half-open, [t_start, t_end), so consecutive windows partition a stream
 without double-counting boundary events. Frames and time surfaces address
-pixels by flat raster index ``y * W + x``.
+pixels by flat raster index ``y * W + x``; a time surface holds NaN at the
+pixels without an event. Flat indices are split back into row and column in
+int32, so a sensor, projector or scene holds fewer than 2**31 pixels.
 
 Handing an array to a value type hands it over: the type keeps an array of
 its dtype without copying and marks it read-only, so a later write raises.
@@ -33,6 +35,23 @@ def _frozen(a, dtype) -> np.ndarray:
     a = np.asarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _check_resolution(resolution: tuple[int, int], name: str = "resolution") -> None:
+    """Reject a side below 1, and 2**31 pixels or more: flat raster indices are split in int32."""
+    w, h = resolution
+    if w < 1 or h < 1:
+        raise ValueError(f"invalid {name} {resolution!r}")
+    if w * h >= 2**31:
+        raise ValueError(f"{name} {resolution!r} has {w * h} pixels; at most 2**31 - 1 are supported")
+
+
+def _row_col(flat: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat // w, flat % w)`` as int32, of flat indices in [0, 2**31): one division, no remainder."""
+    col = flat.astype(np.int32)
+    row = col // w
+    col -= row * w
+    return row, col
 
 
 @dataclass(frozen=True)
@@ -223,7 +242,7 @@ def make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeS
     last = np.full(w * h, -np.inf)
     i0, i1 = stream.window_indices(t0, t1)
     np.maximum.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
-    last[~np.isfinite(last)] = np.nan
+    last[last == -np.inf] = np.nan  # stream timestamps are finite: -inf marks a pixel without events
     return TimeSurface(stream.resolution, last.reshape(h, w), (float(t0), float(t1)))
 
 

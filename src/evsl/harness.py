@@ -141,7 +141,7 @@ def run_period(
     """
     scene = variants[0]
     w0, w1 = window = _window(scene, p)
-    proj_depth = _resample_depth(render_scene(scene.script, (w0 + w1) / 2.0)[1], scene.projector.resolution)
+    proj_depth = _resample_depth(render_scene(scene.script, (w0 + w1) / 2.0), scene.projector.resolution)
     scans = []
     for scenario in variants:
         mask = _mask_for_period(scenario, prev_rois)

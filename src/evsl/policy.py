@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventFrame, _frozen
+from .events import EventFrame, _frozen, _row_col
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
     filtered = np.zeros(h * w, dtype=frame.counts.dtype)
     for i in range(0, len(flat), _MEDIAN_CHUNK):
         chunk = flat[i:i + _MEDIAN_CHUNK]
-        values = windows[np.divmod(chunk, w)].reshape(len(chunk), k * k)
+        values = windows[_row_col(chunk, w)].reshape(len(chunk), k * k)
         filtered[chunk] = np.partition(values, k * k // 2, axis=1)[:, k * k // 2]
     return EventFrame(frame.resolution, filtered.reshape(h, w), frame.window)
 
@@ -152,7 +152,7 @@ def detect_roi(
     active = np.flatnonzero(frame.counts >= active_threshold)
     if active.size == 0:
         return RoiSet(())
-    ys, xs = np.divmod(active, w)
+    ys, xs = _row_col(active, w)
     ends = []
     for offset, in_row in ((1, xs < w - 1), (w - 1, xs > 0), (w, True), (w + 1, xs < w - 1)):
         pos = np.searchsorted(active, active + offset)
@@ -166,17 +166,15 @@ def detect_roi(
         while not np.array_equal(jumped := root[root], root):
             root = jumped
     first, comp = np.unique(root, return_inverse=True)
-    x0, x1, y1 = np.full(first.size, w), np.zeros(first.size, int), np.zeros(first.size, int)
+    # int32 like xs and ys: ufunc.at with values of another dtype leaves numpy's fast path
+    x0, x1, y1 = np.full(first.size, w, np.int32), np.zeros(first.size, np.int32), np.zeros(first.size, np.int32)
     np.minimum.at(x0, comp, xs)
     np.maximum.at(x1, comp, xs)
     np.maximum.at(y1, comp, ys)
     keep = np.bincount(comp) >= min_area_px
-    boxes = np.stack([
-        np.maximum(x0 - dilation_px, 0),
-        np.maximum(ys[first] - dilation_px, 0),
-        np.minimum(x1 + dilation_px, w - 1),
-        np.minimum(y1 + dilation_px, h - 1),
-    ], axis=1)[keep]
+    boxes = np.stack([x0, ys[first], x1, y1], axis=1)[keep].astype(np.int64)  # int64: dilation may pass 2**31
+    boxes[:, :2] = np.maximum(boxes[:, :2] - dilation_px, 0)
+    boxes[:, 2:] = np.minimum(boxes[:, 2:] + dilation_px, (w - 1, h - 1))
     return RoiSet(tuple(map(tuple, boxes.tolist())))
 
 

@@ -9,6 +9,7 @@ by the rectified disparity, with timing noise applied per the noise model.
 Per-firing noise draws are counter-based: they are keyed by (seed, sequence,
 raster index) through a splitmix64 hash, so generating events for any subset
 of firings, in any order or in parallel, yields the same draws per firing.
+The hash and the draws are computed in place on arrays the noise chain owns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DepthMap, EventStream, _frozen
+from .events import DepthMap, EventStream, _check_resolution, _frozen, _row_col
 from .policy import IlluminationMask
 
 
@@ -31,13 +32,14 @@ class SensorGeometry:
     baseline_m: float = 0.04
 
     def __post_init__(self):
-        for name, (w, h) in (("cam_resolution", self.cam_resolution), ("proj_resolution", self.proj_resolution)):
-            if w < 1 or h < 1:
-                raise ValueError(f"invalid {name} {(w, h)!r}")
+        _check_resolution(self.cam_resolution, "cam_resolution")
+        _check_resolution(self.proj_resolution, "proj_resolution")
         if self.focal_length_px <= 0:
             raise ValueError("focal_length_px must be positive")
         if self.baseline_m <= 0:
             raise ValueError("baseline_m must be positive")
+        if not np.isfinite(self.focal_length_px * self.baseline_m):
+            raise ValueError("focal_length_px * baseline_m must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,7 @@ class ProjectorModel:
     frequency_hz: float = 60.0
 
     def __post_init__(self):
-        w, h = self.resolution
-        if w < 1 or h < 1:
-            raise ValueError(f"invalid resolution {self.resolution!r}")
+        _check_resolution(self.resolution)
         if self.frequency_hz <= 0:
             raise ValueError("frequency_hz must be positive")
 
@@ -191,18 +191,10 @@ def build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: fl
         raise ValueError(
             f"mask resolution {mask.resolution} does not match projector {projector.resolution}"
         )
-    w, _ = projector.resolution
     k = np.flatnonzero(mask.on)
-    dwell = projector.dwell_time_us
-    return ScanPlan(
-        resolution=projector.resolution,
-        t0_us=float(t0_us),
-        period_us=projector.period_us,
-        k=k,
-        rows=(k // w).astype(np.int32),
-        cols=(k % w).astype(np.int32),
-        fire_t_us=t0_us + k * dwell,
-    )
+    rows, cols = _row_col(k, projector.resolution[0])
+    return ScanPlan(projector.resolution, float(t0_us), projector.period_us, k, rows, cols,
+                    t0_us + k * projector.dwell_time_us)
 
 
 _U64 = np.uint64
@@ -210,29 +202,47 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = x + _U64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
+    """The splitmix64 finalizer of uint64 ``x``, written over ``x``, which is returned."""
+    x += _U64(0x9E3779B97F4A7C15)
+    shifted = x >> _U64(30)
+    x ^= shifted
+    x *= _U64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, _U64(27), out=shifted)
+    x *= _U64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, _U64(31), out=shifted)
+    return x
 
 
 def _keyed_hash(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
-    """Hash of (seed, sequence, raster index) per key; each noise stream derives from it."""
+    """Hash of (seed, sequence, raster index) per key, in a new array; each noise stream derives from it."""
     keys = _splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
-    base = _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
-    return _splitmix64(ks.astype(_U64) ^ base)
+    h = ks.astype(_U64)
+    h ^= _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
+    return _splitmix64(h)
 
 
 def _keyed_uniforms(h: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) (or (0, 1]) of one stream, from :func:`_keyed_hash` values."""
-    h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
-    mantissa = (h >> _U64(11)).astype(np.float64)
-    return (mantissa + 1.0) * 2.0**-53 if open_low else mantissa * 2.0**-53
+    """Deterministic uniforms in [0, 1) (or (0, 1]) of one stream, from :func:`_keyed_hash` values ``h``,
+    which are left as they are, so one hash serves every stream."""
+    x = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
+    x >>= _U64(11)
+    u = x.astype(np.float64)
+    if open_low:
+        u += 1.0
+    u *= 2.0**-53
+    return u
 
 
 def _keyed_normals(h: np.ndarray) -> np.ndarray:
-    u1, u2 = _keyed_uniforms(h, stream=1, open_low=True), _keyed_uniforms(h, stream=2)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """Box-Muller normals from streams 1 and 2 of ``h``, computed in the arrays of the two draws."""
+    r = _keyed_uniforms(h, stream=1, open_low=True)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    c = _keyed_uniforms(h, stream=2)
+    c *= 2.0 * np.pi
+    r *= np.cos(c, out=c)
+    return r
 
 
 def simulate_reflection_events(
@@ -256,6 +266,8 @@ def simulate_reflection_events(
     draw is keyed by raster index, so a firing's jitter and drop do not depend
     on which others are drawn. Jitter sigma still follows all the plan's firings.
     Quantized events are ordered by integer clock tick, which is their time order.
+    The geometry and the noise chain work in place on the arrays they own, and
+    the draws per firing are the same as computing each step in a new array.
 
     Returns the time-sorted stream and a tally of discarded firings.
     """
@@ -264,38 +276,48 @@ def simulate_reflection_events(
             f"depth resolution {scene_depth.resolution} does not match plan {plan.resolution}"
         )
     cam_w, cam_h = geometry.cam_resolution
-    fb = geometry.focal_length_px * geometry.baseline_m
+    cam_col = np.take(scene_depth.depth, plan.k)  # Z, overwritten with floor(col - f * b / Z + 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cam_col = np.floor(plan.cols - fb / np.take(scene_depth.depth, plan.k) + 0.5)
-    depth_ok = np.take(scene_depth.valid, plan.k)
-    in_frame = depth_ok & (cam_col >= 0) & (cam_col < cam_w) & (plan.rows < cam_h)
+        np.divide(geometry.focal_length_px * geometry.baseline_m, cam_col, out=cam_col)
+        np.subtract(plan.cols, cam_col, out=cam_col)
+        cam_col += 0.5
+        np.floor(cam_col, out=cam_col)
+    in_frame = np.take(scene_depth.valid, plan.k)
+    invalid_depth = len(plan) - int(np.count_nonzero(in_frame))
+    in_frame &= (cam_col >= 0) & (cam_col < cam_w)
+    in_frame &= plan.rows < cam_h
     landed = np.flatnonzero(in_frame)
+    n_landed = len(landed)
 
-    k = plan.k[landed]
-    t = plan.fire_t_us[landed] + noise.latency_us
+    t = plan.fire_t_us[landed]
+    t += noise.latency_us
     if noise.jitter_anchors:
         # Modelling choice: sigma follows the period's mean firing rate, not the
         # local burst rate inside an ROI, so a sparser mask means less jitter.
         # Acceptance criterion 4's noise ordering across policies rests on it.
+        # numpy elides the temporary: sigma scales the normals in their own array.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
-            t = t + sigma * _keyed_normals(_keyed_hash(noise.seed, sequence, k))
+            t += sigma * _keyed_normals(_keyed_hash(noise.seed, sequence, plan.k[landed]))
     if noise.drop_probability > 0:
-        kept = _keyed_uniforms(_keyed_hash(noise.seed, sequence, k), stream=3) >= noise.drop_probability
+        kept = _keyed_uniforms(_keyed_hash(noise.seed, sequence, plan.k[landed]), stream=3) >= noise.drop_probability
         landed, t = landed[kept], t[kept]
     if noise.quantization_us > 0:
-        # n * q keeps the order of distinct ticks n; a uint16 key makes the stable sort a radix sort
-        n = np.maximum(np.floor(t / noise.quantization_us + 0.5), 0.0)
-        key = n - n.min(initial=np.inf)
-        order = np.argsort(key.astype(np.uint16) if key.max(initial=0.0) <= 0xFFFF else n, kind="stable")
-        t = n[order] * noise.quantization_us
+        # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
+        # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
+        t /= noise.quantization_us
+        t += 0.5
+        np.maximum(np.floor(t, out=t), 0.0, out=t)
+        lo = t.min(initial=np.inf)
+        order = np.argsort((t - lo).astype(np.uint16) if t.max(initial=0.0) - lo <= 0xFFFF else t, kind="stable")
+        t = t[order]
+        t *= noise.quantization_us
     else:
-        t = np.maximum(t, 0.0)
+        np.maximum(t, 0.0, out=t)
         order = np.argsort(t, kind="stable")
         t = t[order]
 
-    invalid_depth = len(plan) - int(depth_ok.sum())
     tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
-             "out_of_frame": len(plan) - invalid_depth - len(k), "dropped": len(k) - len(landed)}
+             "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(landed)}
     landed = landed[order]
     return EventStream(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)), tally

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DepthMap, EventStream
+from .events import DepthMap, EventStream, _check_resolution
 
 _Box = tuple[int, int, int, int]  # (ya, yb, xa, xb), half-open pixel ranges
 
@@ -96,9 +96,7 @@ class SceneScript:
     objects: tuple[MovingObject, ...] = ()
 
     def __post_init__(self):
-        w, h = self.resolution
-        if w < 1 or h < 1:
-            raise ValueError(f"invalid resolution {self.resolution!r}")
+        _check_resolution(self.resolution)
         if self.duration_us < 0:
             raise ValueError("duration must be non-negative")
         for i, obj in enumerate(self.objects):
@@ -145,24 +143,20 @@ def _paint_order(script: SceneScript) -> list[MovingObject]:
     return sorted(script.objects, key=lambda o: -o.depth_m)
 
 
-def render_scene(script: SceneScript, t_us: float) -> tuple[np.ndarray, DepthMap]:
-    """Render per-pixel intensity and metric depth at scene time ``t_us``.
+def render_scene(script: SceneScript, t_us: float) -> DepthMap:
+    """Render per-pixel metric depth at scene time ``t_us``.
 
     Objects are painted over the background farthest-first, so the nearest
-    object wins where rectangles overlap.
+    object wins where rectangles overlap. The guide camera paints intensity
+    itself, on the pixels that change.
     """
     if not (0.0 <= t_us <= script.duration_us):
         raise ValueError(f"t={t_us} outside scene duration [0, {script.duration_us}]")
     w, h = script.resolution
-    intensity = script.background.intensity_image(script.resolution)
     depth = np.full((h, w), script.background.depth_m)
-    for obj in _paint_order(script):
-        box = _object_box(obj, t_us, script.resolution)
-        if box is not None:
-            ya, yb, xa, xb = box
-            intensity[ya:yb, xa:xb] = obj.intensity
-            depth[ya:yb, xa:xb] = obj.depth_m
-    return intensity, DepthMap(script.resolution, depth, np.ones((h, w), dtype=bool))
+    objects = _paint_order(script)
+    _paint(depth, [_object_box(obj, t_us, script.resolution) for obj in objects], [obj.depth_m for obj in objects])
+    return DepthMap(script.resolution, depth, np.ones((h, w), dtype=bool))
 
 
 def _render_times(t0: float, t1: float, step_us: float) -> np.ndarray:

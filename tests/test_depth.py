@@ -252,6 +252,122 @@ class TestDecodeMatchesOracle:
             assert_same_bytes(got_xyz, _oracle_depth_to_points(decoded, geometry).xyz, "xyz")
 
 
+def _parent_decode_projector_indices(t_us: np.ndarray, projector: ProjectorModel, t0_us: float):
+    """Vectorized timestamp -> (row, col) decode against the dense raster clock.
+
+    Rounds to the nearest raster slot and clamps to the frame; callers are
+    responsible for period-bounds checks.
+    """
+    w, h = projector.resolution
+    k = np.floor((np.asarray(t_us, dtype=np.float64) - t0_us) / projector.dwell_time_us + 0.5)
+    k = np.clip(k, 0, w * h - 1).astype(np.int64)
+    return k // w, k % w
+
+
+def _parent_reconstruct_depth(
+    surface: TimeSurface,
+    geometry: SensorGeometry,
+    projector: ProjectorModel,
+    t0_us: float,
+) -> tuple[DepthMap, dict[str, int]]:
+    """The flat-index decode as it was before it wrote every occupied pixel:
+    ``flat[ok]`` and ``disparity[ok]`` compresses, an int64 ``np.divmod``."""
+    w0, w1 = surface.window
+    if abs((w1 - w0) - projector.period_us) > 1e-6 * projector.period_us or abs(w0 - t0_us) > 1e-6 * max(1.0, abs(t0_us)):
+        raise ValueError("surface window must equal the scan period being decoded")
+    if surface.resolution != geometry.cam_resolution:
+        raise ValueError(f"surface resolution {surface.resolution} does not match camera {geometry.cam_resolution}")
+    cam_h, cam_w = surface.last_t.shape
+    depth = np.zeros(cam_w * cam_h)
+    valid = np.zeros(cam_w * cam_h, dtype=bool)
+
+    flat = np.flatnonzero(surface.occupied)
+    ys, xs = np.divmod(flat, cam_w)
+    rows, cols = _parent_decode_projector_indices(np.take(surface.last_t, flat), projector, t0_us)
+    row_ok = np.abs(rows - ys) <= 1
+    disparity = cols - xs
+    disp_ok = disparity > 0
+    ok = row_ok & disp_ok
+    depth[flat[ok]] = geometry.focal_length_px * geometry.baseline_m / disparity[ok]
+    valid[flat[ok]] = True
+    tally = {
+        "no_event": cam_w * cam_h - len(flat),
+        "row_mismatch": int((~row_ok).sum()),
+        "nonpositive_disparity": int((row_ok & ~disp_ok).sum()),
+        "valid": int(ok.sum()),
+    }
+    return DepthMap(surface.resolution, depth.reshape(cam_h, cam_w), valid.reshape(cam_h, cam_w)), tally
+
+
+def _parent_depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud:
+    """Back-project valid pixels through the pinhole with the principal point at the frame center."""
+    if depth_map.resolution != geometry.cam_resolution:
+        raise ValueError(f"depth resolution {depth_map.resolution} does not match camera {geometry.cam_resolution}")
+    cam_w, cam_h = geometry.cam_resolution
+    flat = np.flatnonzero(depth_map.valid)
+    ys, xs = np.divmod(flat, cam_w)
+    z = np.take(depth_map.depth, flat)
+    x = (xs - cam_w / 2.0) * z / geometry.focal_length_px
+    y = (ys - cam_h / 2.0) * z / geometry.focal_length_px
+    return PointCloud(np.column_stack([x, y, z]))
+
+
+# widths of one pixel, primes, and the bundled scenarios' widths
+WIDTHS = (1, 2, 3, 5, 7, 13, 31, 127, 640, 1024)
+
+
+def lean_decode_case(cam, proj, f, t0, occupancy, seed):
+    """A surface on camera ``cam`` whose timestamps decode on projector ``proj``.
+
+    Each occupied pixel holds a time near a slot in its row or a neighbour
+    row, a few columns to either side (so disparities are often zero or
+    negative), exactly on the half-slot boundary between two rows, or before
+    or after the period.
+    """
+    (cw, ch), (pw, ph) = cam, proj
+    projector = ProjectorModel(proj, 2000.0)
+    rng = np.random.default_rng(seed)
+    ys, xs = np.indices((ch, cw))
+    dwell = projector.dwell_time_us
+    near = (ys + rng.integers(-1, 2, ys.shape)) * pw + xs + rng.integers(-4, 9, ys.shape) + rng.uniform(-0.6, 0.6, ys.shape)
+    boundary = (ys + rng.integers(0, 2, ys.shape)) * pw - 0.5
+    outside = np.where(rng.random(ys.shape) < 0.5, -rng.uniform(0.0, 50.0, ys.shape), pw * ph + rng.uniform(0.0, 50.0, ys.shape))
+    slot = np.choose(rng.integers(0, 4, ys.shape), [near, near, boundary, outside])
+    last = np.where(rng.random((ch, cw)) < occupancy, t0 + slot * dwell, np.nan)
+    surface = TimeSurface(cam, last, (t0, t0 + projector.period_us))
+    return surface, SensorGeometry(cam, proj, f, 0.04), projector
+
+
+class TestLeanDecodeMatchesOracle:
+    """The unmasked scatter and the int32 splits give the parent decode's bytes and tally."""
+
+    @settings(max_examples=60)
+    @given(cw=st.sampled_from(WIDTHS), ch=st.integers(1, 12), pw=st.sampled_from(WIDTHS), ph=st.integers(1, 12),
+           f=st.sampled_from([1.0, 600.0]), t0=st.sampled_from([0.0, 12345.6]),
+           occupancy=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, cw, ch, pw, ph, f, t0, occupancy, seed):
+        self.check(*lean_decode_case((cw, ch), (pw, ph), f, t0, occupancy, seed))
+
+    @pytest.mark.parametrize("resolution", [(640, 480), (1024, 320)])
+    @pytest.mark.parametrize("occupancy", [0.0, 1.0])
+    def test_bundled(self, resolution, occupancy):
+        self.check(*lean_decode_case(resolution, resolution, 600.0, 1000.0, occupancy, 7))
+
+    @staticmethod
+    def check(surface, geometry, projector):
+        t, t0 = surface.last_t[surface.occupied], surface.window[0]
+        got, want = decode_projector_indices(t, projector, t0), _parent_decode_projector_indices(t, projector, t0)
+        for a, b in zip(got, want):  # the one dtype change: int32, as in ScanPlan
+            assert a.dtype == np.int32 and np.array_equal(a, b)
+        got, got_tally = reconstruct_depth(surface, geometry, projector, t0)
+        want, want_tally = _parent_reconstruct_depth(surface, geometry, projector, t0)
+        assert list(got_tally.items()) == list(want_tally.items())
+        assert all(type(v) is int for v in got_tally.values())
+        assert_same_bytes(got.depth, want.depth, "depth")
+        assert_same_bytes(got.valid, want.valid, "valid")
+        assert_same_bytes(depth_to_points(got, geometry).xyz, _parent_depth_to_points(want, geometry).xyz, "xyz")
+
+
 class TestReconstructDepth:
     def test_noiseless_dense_plane_is_exact(self):
         geom, proj, stream, surface = noiseless_reconstruction()

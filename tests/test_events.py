@@ -266,6 +266,61 @@ class TestFrameAndSurfaceMatchOracle:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
+def _parent_make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeSurface:
+    """Keep, per pixel, the latest event timestamp within [t_start, t_end)."""
+    t0, t1 = window
+    if t1 < t0:
+        raise ValueError(f"invalid window ({t0}, {t1})")
+    w, h = stream.resolution
+    last = np.full(w * h, -np.inf)
+    i0, i1 = stream.window_indices(t0, t1)
+    np.maximum.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
+    last[~np.isfinite(last)] = np.nan
+    return TimeSurface(stream.resolution, last.reshape(h, w), (float(t0), float(t1)))
+
+
+# widths of one pixel, primes, and the bundled scenarios' widths
+WIDTHS = (1, 2, 3, 5, 7, 13, 31, 127, 640, 1024)
+
+
+def surface_case(resolution, occupancy, repeats, seed):
+    """A stream over ``resolution`` and the window [10, 20).
+
+    Each pixel is occupied with probability ``occupancy`` and then holds
+    ``repeats`` events (one of them where repeats is 0), timed on the window
+    edges, inside it, before it, after it, and at 0 and -0.0.
+    """
+    w, h = resolution
+    rng = np.random.default_rng(seed)
+    k = np.repeat(np.flatnonzero(rng.random(w * h) < occupancy), max(repeats, 1))
+    times = np.concatenate([[10.0, 20.0, 0.0, -0.0, 25.0], rng.uniform(0.0, 30.0, 4), rng.uniform(10.0, 20.0, 4)])
+    stream = EventStream.from_arrays(resolution, rng.choice(times, len(k)), k % w, k // w, np.ones(len(k)))
+    return stream, (10.0, 20.0)
+
+
+class TestSurfaceMatchesParent:
+    """A surface that starts at NaN and takes ``fmax`` gives the ``-inf`` and ``maximum`` surface's bytes."""
+
+    @settings(max_examples=60)
+    @given(w=st.sampled_from(WIDTHS), h=st.integers(1, 12), occupancy=st.sampled_from([0.0, 0.3, 1.0]),
+           repeats=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, w, h, occupancy, repeats, seed):
+        self.check(*surface_case((w, h), occupancy, repeats, seed))
+
+    @pytest.mark.parametrize("resolution", [(640, 480), (1024, 320)])
+    @pytest.mark.parametrize("occupancy", [0.0, 1.0])
+    def test_bundled(self, resolution, occupancy):
+        self.check(*surface_case(resolution, occupancy, 1, 5))
+
+    @staticmethod
+    def check(stream, window):
+        got, want = make_time_surface(stream, window), _parent_make_time_surface(stream, window)
+        assert (got.resolution, got.window) == (want.resolution, want.window)
+        a, b = got.last_t, want.last_t
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert a.tobytes() == b.tobytes()  # also the NaN bits and the sign of zero
+
+
 class TestVoxelGrid:
     def test_event_at_window_start(self):
         s = EventStream((4, 4), [0.0], [1], [2], [1])

@@ -172,6 +172,10 @@ class TestScenarioConfig:
         (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
          "policy: median_kernel_px must be odd and >= 1"),
         (("scene", "objects", 0), None, "scene.objects[0]: expected a mapping"),
+        (("geometry", "proj_resolution"), [65536, 32768],
+         "geometry: proj_resolution (65536, 32768) has 2147483648 pixels; at most 2**31 - 1 are supported"),
+        (("scene", "resolution"), [2**31, 1],
+         "scene: resolution (2147483648, 1) has 2147483648 pixels; at most 2**31 - 1 are supported"),
     ])
     def test_malformed_value_names_field(self, path, value, message):
         with pytest.raises(ConfigError) as info:

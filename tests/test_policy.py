@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from evsl import harness
@@ -13,6 +14,7 @@ from evsl.policy import (
     EventGuidedPolicy,
     RoiSet,
     SparsePolicy,
+    _MEDIAN_CHUNK,
     active_pixel_fraction,
     build_mask,
     detect_roi,
@@ -305,6 +307,110 @@ class TestMaskStageMatchesScipy:
             want = scipy_median_filter_frame(frame, policy.median_kernel_px)
             assert np.array_equal(filtered.counts, want.counts)
             assert detect_roi(filtered, *args).boxes == scipy_detect_roi(want, *args).boxes
+
+
+def _parent_median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
+    """Median of the k x k count neighborhood per pixel; borders zero-padded.
+
+    Only pixels within k // 2 of a nonzero count are visited: every other
+    pixel sees an all-zero neighborhood, so its median is 0.
+    """
+    if kernel_px < 1 or kernel_px % 2 == 0:
+        raise ValueError("kernel size must be odd and >= 1")
+    if kernel_px == 1:
+        return frame
+    k, r = kernel_px, kernel_px // 2
+    h, w = frame.counts.shape
+    padded = np.zeros((h + 2 * r, w + 2 * r), dtype=frame.counts.dtype)
+    padded[r:r + h, r:r + w] = frame.counts
+    nonzero = padded != 0
+    near = np.zeros((h, w), dtype=bool)
+    for dy, dx in np.ndindex(k, k):
+        near |= nonzero[dy:dy + h, dx:dx + w]
+    flat = np.flatnonzero(near)
+    windows = sliding_window_view(padded, (k, k))
+    filtered = np.zeros(h * w, dtype=frame.counts.dtype)
+    for i in range(0, len(flat), _MEDIAN_CHUNK):
+        chunk = flat[i:i + _MEDIAN_CHUNK]
+        values = windows[np.divmod(chunk, w)].reshape(len(chunk), k * k)
+        filtered[chunk] = np.partition(values, k * k // 2, axis=1)[:, k * k // 2]
+    return EventFrame(frame.resolution, filtered.reshape(h, w), frame.window)
+
+
+def _parent_detect_roi(
+    frame: EventFrame,
+    active_threshold: int = 1,
+    min_area_px: int = 1,
+    dilation_px: int = 0,
+) -> RoiSet:
+    """Bounding boxes of 8-connected active components, dilated and clipped.
+
+    A pixel is active when its count reaches ``active_threshold``; components
+    smaller than ``min_area_px`` are discarded as specks. Only active pixels
+    are visited: each is linked to its active right, lower-left, lower and
+    lower-right neighbours, and every component takes the smallest raster
+    index among its pixels as its label (minimum-label hooking with pointer
+    jumping). Boxes come out in the raster order of each component's first
+    pixel.
+    """
+    if active_threshold < 1:
+        raise ValueError("active_threshold must be >= 1")
+    w, h = frame.resolution
+    active = np.flatnonzero(frame.counts >= active_threshold)
+    if active.size == 0:
+        return RoiSet(())
+    ys, xs = np.divmod(active, w)
+    ends = []
+    for offset, in_row in ((1, xs < w - 1), (w - 1, xs > 0), (w, True), (w + 1, xs < w - 1)):
+        pos = np.searchsorted(active, active + offset)
+        hit = (pos < active.size) & in_row
+        hit[hit] = active[pos[hit]] == active[hit] + offset
+        ends.append((np.flatnonzero(hit), pos[hit]))
+    a, b = (np.concatenate(e) for e in zip(*ends))
+    root = np.arange(active.size)
+    while not np.array_equal(ra := root[a], rb := root[b]):
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    first, comp = np.unique(root, return_inverse=True)
+    x0, x1, y1 = np.full(first.size, w), np.zeros(first.size, int), np.zeros(first.size, int)
+    np.minimum.at(x0, comp, xs)
+    np.maximum.at(x1, comp, xs)
+    np.maximum.at(y1, comp, ys)
+    keep = np.bincount(comp) >= min_area_px
+    boxes = np.stack([
+        np.maximum(x0 - dilation_px, 0),
+        np.maximum(ys[first] - dilation_px, 0),
+        np.minimum(x1 + dilation_px, w - 1),
+        np.minimum(y1 + dilation_px, h - 1),
+    ], axis=1)[keep]
+    return RoiSet(tuple(map(tuple, boxes.tolist())))
+
+
+# widths of one pixel, primes, and the bundled scenarios' widths
+WIDTHS = (1, 2, 3, 5, 7, 13, 31, 127, 640, 1024)
+
+
+class TestMaskStageMatchesParent:
+    """The int32 row and column split gives the int64 ``np.divmod`` median and ROIs."""
+
+    @settings(max_examples=60)
+    @given(w=st.sampled_from(WIDTHS), h=st.integers(1, 12), density=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**16), k=st.sampled_from([3, 5, 7]), dilation=st.sampled_from([0, 3, 2**31 + 5]))
+    def test_property(self, w, h, density, seed, k, dilation):
+        rng = np.random.default_rng(seed)
+        self.check(frame_of((rng.random((h, w)) < density) * rng.integers(1, 4, (h, w))), k, dilation)
+
+    def test_full_frame_past_one_gather(self):
+        frame = frame_of(np.ones((20, 1024), np.int64))
+        assert frame.counts.size > _MEDIAN_CHUNK
+        self.check(frame, 3, 4)
+
+    @staticmethod
+    def check(frame, k, dilation):
+        got, want = median_filter_frame(frame, k), _parent_median_filter_frame(frame, k)
+        assert got.counts.dtype == want.counts.dtype and np.array_equal(got.counts, want.counts)
+        assert detect_roi(frame, 1, 2, dilation).boxes == _parent_detect_roi(frame, 1, 2, dilation).boxes
 
 
 class TestBuildMask:

@@ -110,6 +110,71 @@ class TestScanPlan:
         assert list(plan.cols[:5]) == [0, 1, 2, 3, 0]
 
 
+class TestResolutionGuard:
+    """Flat raster indices are split in int32, so a raster holds fewer than 2**31 pixels."""
+
+    def test_projector_at_2_31_pixels_rejected(self):
+        # checked before any array exists: the rejected raster allocates nothing
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            ProjectorModel((65536, 32768))
+
+    def test_geometry_checks_both_resolutions(self):
+        with pytest.raises(ValueError, match="cam_resolution"):
+            SensorGeometry((65536, 32768), (64, 48), 600.0)
+        with pytest.raises(ValueError, match="proj_resolution"):
+            SensorGeometry((64, 48), (2**31, 1), 600.0)
+
+    def test_largest_raster_accepted(self):
+        assert ProjectorModel((2**31 - 1, 1)).pixel_count == 2**31 - 1
+
+
+def _parent_build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: float = 0.0) -> ScanPlan:
+    """Schedule fire times for every masked-on pixel in raster order."""
+    if mask.resolution != projector.resolution:
+        raise ValueError(
+            f"mask resolution {mask.resolution} does not match projector {projector.resolution}"
+        )
+    w, _ = projector.resolution
+    k = np.flatnonzero(mask.on)
+    dwell = projector.dwell_time_us
+    return ScanPlan(
+        resolution=projector.resolution,
+        t0_us=float(t0_us),
+        period_us=projector.period_us,
+        k=k,
+        rows=(k // w).astype(np.int32),
+        cols=(k % w).astype(np.int32),
+        fire_t_us=t0_us + k * dwell,
+    )
+
+
+# widths of one pixel, primes, and the bundled scenarios' widths
+WIDTHS = (1, 2, 3, 5, 7, 13, 31, 127, 640, 1024)
+
+
+class TestScanPlanMatchesOracle:
+    """The int32 row and column split gives the int64 ``//`` and ``%`` plan's bytes."""
+
+    @settings(max_examples=60)
+    @given(w=st.sampled_from(WIDTHS), h=st.integers(1, 24), lit=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1), t0=st.sampled_from([0.0, 12345.6]))
+    def test_property(self, w, h, lit, seed, t0):
+        self.check(ProjectorModel((w, h)), np.random.default_rng(seed).random((h, w)) < lit, t0)
+
+    @pytest.mark.parametrize("resolution", [(640, 480), (1024, 320)])
+    def test_bundled_dense(self, resolution):
+        self.check(ProjectorModel(resolution), np.ones(resolution[::-1], bool), 1000.0)
+
+    @staticmethod
+    def check(projector, on, t0):
+        mask = IlluminationMask(projector.resolution, on)
+        got, want = build_scan_plan(projector, mask, t0), _parent_build_scan_plan(projector, mask, t0)
+        assert (got.resolution, got.t0_us, got.period_us) == (want.resolution, want.t0_us, want.period_us)
+        for name in ("k", "rows", "cols", "fire_t_us"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestJitterStd:
     def test_anchor_points(self):
         model = NoiseModel()
@@ -252,12 +317,21 @@ class TestSimulateReflection:
         assert np.all(stream.t >= 0)
 
 
+def _parent_splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 as it was before it worked in place: each step makes a new array."""
+    x = x + _U64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
+
 def oracle_keyed_uniforms(seed: int, sequence: int, ks: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
-    """The keyed uniforms as they were before one hash per key served every stream."""
-    keys = _splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
-    base = _splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
-    h = _splitmix64(ks.astype(_U64) ^ base)
-    h = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
+    """The keyed uniforms as they were before one hash per key served every stream
+    and before the chain worked in place."""
+    keys = _parent_splitmix64(np.array([seed & _MASK64, (sequence + 1) * 0x9E3779B9 & _MASK64], dtype=_U64))
+    base = _parent_splitmix64(keys[:1] ^ keys[1:])[0]  # a scalar: xor with a (1,) array defeats temporary reuse
+    h = _parent_splitmix64(ks.astype(_U64) ^ base)
+    h = _parent_splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
     mantissa = (h >> _U64(11)).astype(np.float64)
     if open_low:
         return (mantissa + 1.0) * 2.0**-53
@@ -271,7 +345,13 @@ def oracle_keyed_normals(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray
 
 
 class TestKeyedNoiseMatchesOracle:
-    """Hashing each key once gives every stream the bytes of hashing it per stream."""
+    """Hashing each key once, in place, gives every stream the bytes of hashing it per stream
+    in new arrays; the draws leave the hash as it was."""
+
+    def test_splitmix64_writes_over_its_argument(self):
+        x = np.random.default_rng(3).integers(0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True)
+        want = _parent_splitmix64(x)
+        assert _splitmix64(x) is x and x.tobytes() == want.tobytes()
 
     @settings(max_examples=100)
     @given(
@@ -283,7 +363,9 @@ class TestKeyedNoiseMatchesOracle:
     def test_property(self, seed, sequence, n, key_seed):
         ks = np.random.default_rng(key_seed).integers(0, 2**40, n)
         h = _keyed_hash(seed, sequence, ks)
+        before = h.copy()
         got = (_keyed_uniforms(h, 1, open_low=True), _keyed_uniforms(h, 2), _keyed_uniforms(h, 3), _keyed_normals(h))
+        assert h.tobytes() == before.tobytes()
         want = (
             oracle_keyed_uniforms(seed, sequence, ks, 1, open_low=True),
             oracle_keyed_uniforms(seed, sequence, ks, 2),

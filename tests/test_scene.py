@@ -14,6 +14,8 @@ from evsl.scene import (
     GuideCameraModel,
     MovingObject,
     SceneScript,
+    _object_box,
+    _paint_order,
     _render_times,
     generate_guide_events,
     render_scene,
@@ -26,33 +28,44 @@ def plane_script(resolution=(32, 24), duration=100000.0, objects=()):
     return SceneScript(resolution, duration, Background(2.0, 0.5), tuple(objects))
 
 
+def render_intensity(script, t_us):
+    """Per-pixel intensity at ``t_us``: objects painted over the background farthest-first."""
+    intensity = script.background.intensity_image(script.resolution)
+    for obj in _paint_order(script):
+        box = _object_box(obj, t_us, script.resolution)
+        if box is not None:
+            ya, yb, xa, xb = box
+            intensity[ya:yb, xa:xb] = obj.intensity
+    return intensity
+
+
 class TestRenderScene:
     def test_background_only(self):
-        img, dm = render_scene(plane_script(), 0.0)
+        img, dm = render_intensity(plane_script(), 0.0), render_scene(plane_script(), 0.0)
         assert np.all(img == 0.5)
         assert np.all(dm.depth == 2.0)
         assert dm.valid.all()
 
     def test_object_pixel_count(self):
         obj = MovingObject(5, 5, 10, 10, (0.0, 0.0), 1.0, 0.9)
-        _, dm = render_scene(plane_script(objects=[obj]), 0.0)
+        dm = render_scene(plane_script(objects=[obj]), 0.0)
         assert (dm.depth == 1.0).sum() == 100
 
     def test_kinematics_shift(self):
         obj = MovingObject(2, 5, 4, 4, (0.001, 0.0), 1.0, 0.9)
-        _, at0 = render_scene(plane_script(objects=[obj]), 0.0)
-        _, at10k = render_scene(plane_script(objects=[obj]), 10000.0)
+        at0 = render_scene(plane_script(objects=[obj]), 0.0)
+        at10k = render_scene(plane_script(objects=[obj]), 10000.0)
         assert np.array_equal(np.roll(at0.depth == 1.0, 10, axis=1), at10k.depth == 1.0)
 
     def test_nearest_object_wins(self):
         near = MovingObject(4, 4, 6, 6, (0.0, 0.0), 0.5, 0.8)
         far = MovingObject(4, 4, 6, 6, (0.0, 0.0), 1.5, 0.3)
-        _, dm = render_scene(plane_script(objects=[far, near]), 0.0)
+        dm = render_scene(plane_script(objects=[far, near]), 0.0)
         assert np.all(dm.depth[4:10, 4:10] == 0.5)
 
     def test_clipping_at_frame_edge(self):
         obj = MovingObject(-3, -3, 6, 6, (0.0, 0.0), 1.0, 0.9)
-        _, dm = render_scene(plane_script(objects=[obj]), 0.0)
+        dm = render_scene(plane_script(objects=[obj]), 0.0)
         assert (dm.depth == 1.0).sum() == 9
 
     def test_time_outside_duration_rejected(self):
@@ -63,9 +76,13 @@ class TestRenderScene:
         with pytest.raises(ValueError, match="front"):
             plane_script(objects=[MovingObject(0, 0, 2, 2, (0, 0), 3.0, 0.9)])
 
+    def test_resolution_of_2_31_pixels_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            plane_script(resolution=(65536, 32768))
+
     def test_checker_texture(self):
         script = SceneScript((8, 8), 10.0, Background(2.0, checker=CheckerTexture(2, 0.3, 0.7)))
-        img, _ = render_scene(script, 0.0)
+        img = render_intensity(script, 0.0)
         assert img[0, 0] == 0.3
         assert img[0, 2] == 0.7
         assert img[2, 0] == 0.7
@@ -101,10 +118,10 @@ class TestGuideEvents:
         # same render instants
         step = 1000.0
         times = [i * step for i in range(41)]
-        ref = np.log(render_scene(script, times[0])[0])
+        ref = np.log(render_intensity(script, times[0]))
         expected = np.zeros((24, 32), dtype=int)
         for t in times[1:]:
-            cur = np.log(render_scene(script, t)[0])
+            cur = np.log(render_intensity(script, t))
             dl = cur - ref
             n = np.floor(np.abs(dl) / 0.3).astype(int)
             expected += n
@@ -180,14 +197,14 @@ def _full_frame_guide_events(script, camera, interval, seed=0):
     step_us = 1e6 / camera.render_rate_hz
     times = _render_times(t0, t1, step_us)
 
-    ref = np.log(render_scene(script, times[0])[0])
+    ref = np.log(render_intensity(script, times[0]))
     ts_parts: list[np.ndarray] = []
     xs_parts: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     ps_parts: list[np.ndarray] = []
 
     for t_prev, t_cur in zip(times[:-1], times[1:]):
-        cur = np.log(render_scene(script, t_cur)[0])
+        cur = np.log(render_intensity(script, t_cur))
         dl = cur - ref
         mag = np.abs(dl)
         cnt = np.floor(mag / c).astype(np.int64)
