@@ -1,4 +1,4 @@
-"""File formats shared across the toolkit.
+"""File formats the toolkit writes, and the event-stream reader ``evsl active-pixels`` uses.
 
 - Event streams: text, header ``t_us,x,y,p`` then one event per line,
   timestamps printed with six decimal places. The reader is strict: the
@@ -13,10 +13,12 @@
 - Tables: UTF-8 CSV with a header row; floats printed with %.9g so repeated
   runs are byte-identical.
 
-The PLY writer formats a whole array, the event writer each 65,536 events,
-with one ``%`` operation over the ``tolist()`` values, which prints each value
-exactly as formatting it alone would. When every timestamp is a non-negative
-integer (no ``-0.0``), the event writer prints them from int64 as ``%d.000000``.
+The event writer works 65,536 events at a time. When every timestamp is a
+non-negative integer below 2**63 (no ``-0.0``), it builds each event as a
+row of digit bytes in numpy; otherwise it runs one ``%`` operation over the
+``tolist()`` values. The PLY writer runs one ``%`` operation per 21,845
+points. Each prints exactly the bytes that ``%.6f`` or ``%.9g`` per value
+would.
 """
 
 from __future__ import annotations
@@ -36,13 +38,38 @@ def write_event_stream(stream: EventStream, path: str | os.PathLike) -> None:
     t = stream.t
     # Integral timestamps print exactly as int64 values, but -0.0 must stay "-0.000000".
     integral = not np.signbit(t).any() and t.max(initial=0.0) < 2.0**63 and np.array_equal(t, np.floor(t))
-    line = "%d.000000,%d,%d,%d\n" if integral else "%.6f,%d,%d,%d\n"
     t = t.astype(np.int64) if integral else t
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_us,x,y,p\n")
-        for i in range(0, len(t), 65536):  # bounds the Python objects alive at once
-            columns = [c[i:i + 65536].tolist() for c in (t, stream.x, stream.y, stream.p)]
-            fh.write((line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
+    with open(path, "wb") as fh:
+        fh.write(b"t_us,x,y,p\n")
+        for i in range(0, len(t), 65536):  # bounds the memory alive at once
+            columns = [c[i:i + 65536] for c in (t, stream.x, stream.y, stream.p)]
+            if integral:
+                fh.write(_integral_rows(*columns))
+            else:
+                values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+                fh.write((("%.6f,%d,%d,%d\n" * len(columns[0])) % tuple(values)).encode("ascii"))
+
+
+def _integral_rows(t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%d.000000,%d,%d,%d\\n"`` for non-negative t, x, y and p in {-1, +1}.
+
+    Each event is one uint8 row with as many digit columns per field as the
+    chunk's largest value needs; ``keep`` drops the leading zeros and the
+    ``-`` of positive polarities, so ``out[keep]`` reads row by row.
+    """
+    widths = [len(str(int(c.max(initial=0)))) for c in (t, x, y)]
+    template = b"0" * widths[0] + b".000000," + b"0" * widths[1] + b"," + b"0" * widths[2] + b",-1\n"
+    out = np.tile(np.frombuffer(template, np.uint8), (len(t), 1))
+    keep = np.ones(out.shape, dtype=bool)
+    keep[:, -3] = p < 0
+    ends = (widths[0], widths[0] + 8 + widths[1], sum(widths) + 9)  # one past each field's last digit
+    for v, width, end in zip((t, x, y), widths, ends):
+        for col in range(end - 1, end - width - 1, -1):
+            if col < end - 1:
+                keep[:, col] = v > 0  # v = value // 10**(end - 1 - col)
+            v, digit = np.divmod(v, 10)
+            out[:, col] += digit.astype(np.uint8)
+    return out[keep]
 
 
 def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | None = None) -> EventStream:
@@ -89,21 +116,6 @@ def write_pgm16(path: str | os.PathLike, values: np.ndarray) -> None:
         fh.write(arr.astype(">u2").tobytes())
 
 
-def read_pgm16(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ValueError("not a binary PGM file")
-        line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        w, h = (int(v) for v in line.split())
-        maxval = int(fh.readline())
-        if maxval != 65535:
-            raise ValueError(f"expected 16-bit PGM, got maxval {maxval}")
-        data = np.frombuffer(fh.read(w * h * 2), dtype=">u2")
-    return data.reshape(h, w).astype(np.uint16)
-
-
 def write_depth_pgm(path: str | os.PathLike, depth_map: DepthMap) -> None:
     """Dump a depth map as 16-bit PGM plus a ``<path>.meta`` sidecar.
 
@@ -124,39 +136,12 @@ def write_depth_pgm(path: str | os.PathLike, depth_map: DepthMap) -> None:
         fh.write("invalid_value 0\n")
 
 
-def read_depth_pgm(path: str | os.PathLike) -> DepthMap:
-    levels = read_pgm16(path)
-    meters_per_unit = 1.0
-    with open(f"{os.fspath(path)}.meta", "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) == 2 and parts[0] == "meters_per_unit":
-                meters_per_unit = float(parts[1])
-    valid = levels > 0
-    h, w = levels.shape
-    return DepthMap((w, h), levels.astype(np.float64) * meters_per_unit, valid)
-
-
 def write_pbm(path: str | os.PathLike, mask: IlluminationMask) -> None:
     """Write a mask as binary PBM; bit 1 = illuminated pixel."""
     w, h = mask.resolution
     with open(path, "wb") as fh:
         fh.write(f"P4\n{w} {h}\n".encode("ascii"))
         fh.write(np.packbits(mask.on, axis=1).tobytes())
-
-
-def read_pbm(path: str | os.PathLike) -> IlluminationMask:
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P4":
-            raise ValueError("not a binary PBM file")
-        line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        w, h = (int(v) for v in line.split())
-        row_bytes = (w + 7) // 8
-        data = np.frombuffer(fh.read(row_bytes * h), dtype=np.uint8).reshape(h, row_bytes)
-    bits = np.unpackbits(data, axis=1)[:, :w].astype(bool)
-    return IlluminationMask((w, h), bits)
 
 
 def write_ply(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -166,22 +151,9 @@ def write_ply(path: str | os.PathLike, cloud: PointCloud) -> None:
         fh.write(f"element vertex {len(xyz)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        fh.write(("%.9g %.9g %.9g\n" * len(xyz)) % tuple(xyz.ravel().tolist()))
-
-
-def read_ply(path: str | os.PathLike) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != "ply":
-            raise ValueError("not a PLY file")
-        n = 0
-        for line in fh:
-            line = line.strip()
-            if line.startswith("element vertex"):
-                n = int(line.split()[-1])
-            elif line == "end_header":
-                break
-        xyz = np.loadtxt(fh, max_rows=n, ndmin=2) if n else np.empty((0, 3))
-    return PointCloud(xyz)
+        for i in range(0, len(xyz), 21845):  # 65,535 values per % operation, as in the event writer
+            chunk = xyz[i:i + 21845]
+            fh.write(("%.9g %.9g %.9g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def format_cell(value) -> str:

@@ -92,10 +92,6 @@ class PeriodResult:
     cloud: PointCloud | None  # None unless the plane fit needed it
 
 
-def generate_guide_for(scenario: Scenario, window: tuple[float, float], period: int) -> EventStream:
-    return generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + period)
-
-
 def _window(scenario: Scenario, p: int) -> tuple[float, float]:
     """Half-open ``[t0, t1)`` window of scan period ``p``, in microseconds."""
     return p * scenario.projector.period_us, (p + 1) * scenario.projector.period_us
@@ -105,7 +101,7 @@ def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSe
     """Guide stream of period ``p``, its active-pixel fraction, and the event-guided
     ROIs that the next period's mask uses (None where there is none); the frame is not kept."""
     window = _window(scenario, p)
-    stream = generate_guide_for(scenario, window, p)
+    stream = generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + p)
     frame = make_event_frame(stream, window)
     policy = scenario.policy
     guided = isinstance(policy, EventGuidedPolicy)

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dump_readers import read_depth_pgm, read_pbm, read_pgm16, read_ply
 from evsl import harness
 from evsl.cli import main as cli_main
 from evsl.depth import PointCloud
 from evsl.events import DepthMap, EventStream
 from evsl.formats import (
-    read_depth_pgm,
     read_event_stream,
-    read_pbm,
-    read_pgm16,
-    read_ply,
     write_csv,
     write_depth_pgm,
     write_event_stream,
@@ -46,6 +43,20 @@ def _oracle_write_event_stream_f6(stream, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_us,x,y,p\n")
         fh.write(body)
+
+
+def _oracle_write_event_stream_int(stream, path):
+    """The writer before integral streams were built as numpy digit rows: one ``%`` per 65,536 events."""
+    t = stream.t
+    # Integral timestamps print exactly as int64 values, but -0.0 must stay "-0.000000".
+    integral = not np.signbit(t).any() and t.max(initial=0.0) < 2.0**63 and np.array_equal(t, np.floor(t))
+    line = "%d.000000,%d,%d,%d\n" if integral else "%.6f,%d,%d,%d\n"
+    t = t.astype(np.int64) if integral else t
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t_us,x,y,p\n")
+        for i in range(0, len(t), 65536):  # bounds the Python objects alive at once
+            columns = [c[i:i + 65536].tolist() for c in (t, stream.x, stream.y, stream.p)]
+            fh.write((line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def _oracle_read_event_stream(path, resolution=None):
@@ -263,11 +274,58 @@ class TestTextCodecMatchesOracle:
         write_event_stream(stream, tmp_path / "events")
         assert (tmp_path / "events").read_bytes() == (tmp_path / "oracle").read_bytes()
 
+    def assert_matches_both_oracles(self, tmp_path, stream):
+        write_event_stream(stream, tmp_path / "events")
+        got = (tmp_path / "events").read_bytes()
+        for oracle in (_oracle_write_event_stream_f6, _oracle_write_event_stream_int):
+            oracle(stream, tmp_path / "oracle")
+            assert got == (tmp_path / "oracle").read_bytes(), oracle.__name__
+
+    @pytest.mark.parametrize("w", [1, 9, 10, 2000])
+    def test_integral_digit_rows_at_the_resolution_edge(self, tmp_path, w):
+        # x = w - 1 and y = h - 1 take the most digits their column allows
+        h = w
+        t = np.array([0.0, 9.0, 10.0, 99.0, 100.0, 12345.0, 2.0**63 - 1024])
+        stream = EventStream((w, h), t, [w - 1, 0, w - 1, 0, w // 2, w - 1, w - 1],
+                             [h - 1, h - 1, 0, 0, h // 2, h - 1, 0], [-1, 1, -1, -1, 1, -1, 1])
+        self.assert_matches_both_oracles(tmp_path, stream)
+        lines = (tmp_path / "events").read_text().splitlines()
+        assert lines[1] == f"0.000000,{w - 1},{h - 1},-1"
+        assert lines[-1] == f"9223372036854774784.000000,{w - 1},0,1"
+
+    @pytest.mark.parametrize("t", [[0.0], [9.0], [10.0], [2.0**63 - 1024], [0.0, 9.0, 10.0, 2.0**63 - 1024]])
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_integral_timestamp_edges(self, tmp_path, t, p):
+        stream = EventStream((4, 3), np.array(t), [3] * len(t), [2] * len(t), [p] * len(t))
+        self.assert_matches_both_oracles(tmp_path, stream)
+
+    def test_empty_stream_is_the_header(self, tmp_path):
+        self.assert_matches_both_oracles(tmp_path, EventStream.empty((3, 2)))
+        assert (tmp_path / "events").read_bytes() == b"t_us,x,y,p\n"
+
+    def test_digit_widths_change_across_the_chunk_boundary(self, tmp_path):
+        # the first chunk's timestamps have at most 4 digits, the second's at least 6
+        rng = np.random.default_rng(7)
+        first = np.sort(rng.integers(0, 10**4, 65536))
+        second = np.sort(rng.integers(10**5, 10**7, 1000))
+        n = len(first) + len(second)
+        stream = EventStream((640, 480), np.concatenate([first, second]).astype(np.float64),
+                             rng.integers(0, 640, n), rng.integers(0, 480, n), rng.choice([-1, 1], n))
+        self.assert_matches_both_oracles(tmp_path, stream)
+
     def test_negative_zero_timestamp_keeps_its_sign(self, tmp_path):
         stream = EventStream((4, 4), np.array([-0.0, 0.0, 3.0]), [0, 1, 2], [0, 0, 0], [1, -1, 1])
         write_event_stream(stream, tmp_path / "e.txt")
         lines = (tmp_path / "e.txt").read_text().splitlines()
         assert lines[1:] == ["-0.000000,0,0,1", "0.000000,1,0,-1", "3.000000,2,0,1"]
+
+    def test_cloud_longer_than_one_chunk(self, tmp_path):
+        # the PLY writer formats 21,845 points (65,535 values) at a time
+        rng = np.random.default_rng(8)
+        cloud = PointCloud(rng.normal(0.0, 3.0, (2 * 21845 + 1, 3)))
+        _oracle_write_ply(tmp_path / "oracle", cloud)
+        write_ply(tmp_path / "cloud.ply", cloud)
+        assert (tmp_path / "cloud.ply").read_bytes() == (tmp_path / "oracle").read_bytes()
 
     @settings(max_examples=200)
     @given(xyz=st.lists(st.tuples(*[st.floats(-3e38, 3e38) | st.floats(-1e-40, 1e-40)] * 3), max_size=200))

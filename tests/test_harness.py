@@ -289,7 +289,8 @@ class TestRunScenario:
         # auditability: the CSV numbers can be rebuilt from the dumped files
         sc = tiny_scenario(periods=2)
         reports = run_scenario(sc, dump=("events", "masks", "depth"), out_dir=tmp_path)
-        from evsl.formats import read_event_stream, read_pbm
+        from dump_readers import read_depth_pgm, read_pbm
+        from evsl.formats import read_event_stream
 
         r = reports[1]
         period_s = sc.projector.period_us * 1e-6
@@ -299,8 +300,6 @@ class TestRunScenario:
         assert len(guide) / period_s == pytest.approx(r.guide_event_rate)
         assert len(reflect) / period_s == pytest.approx(r.reflection_event_rate)
         assert mask.fraction == pytest.approx(r.mask_fraction)
-        from evsl.formats import read_depth_pgm
-
         depth = read_depth_pgm(tmp_path / "depth_p001.pgm")
         assert depth.valid_count == r.valid_depth_pixels
 

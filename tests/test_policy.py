@@ -21,6 +21,7 @@ from evsl.policy import (
     median_filter_frame,
     scale_roi,
 )
+from evsl.scene import generate_guide_events
 
 
 def frame_of(counts, window=(0.0, 1.0)):
@@ -302,7 +303,8 @@ class TestMaskStageMatchesScipy:
         args = (policy.active_threshold, policy.min_area_px, policy.dilation_px)
         for p in range(scenario.periods):
             window = harness._window(scenario, p)
-            frame = make_event_frame(harness.generate_guide_for(scenario, window, p), window)
+            stream = generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + p)
+            frame = make_event_frame(stream, window)
             filtered = median_filter_frame(frame, policy.median_kernel_px)
             want = scipy_median_filter_frame(frame, policy.median_kernel_px)
             assert np.array_equal(filtered.counts, want.counts)

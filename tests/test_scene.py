@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsl.events import EventStream, make_event_frame
-from evsl.harness import generate_guide_for, load_scenario
+from evsl.harness import load_scenario
 from evsl.scene import (
     Background,
     CheckerTexture,
@@ -261,7 +261,8 @@ class TestGuideEventsMatchFullFrame:
             window = (p * period_us, (p + 1) * period_us)
             want = _full_frame_guide_events(scenario.script, scenario.guide_camera, window,
                                             seed=scenario.seed + p)
-            assert_same_stream(generate_guide_for(scenario, window, p), want)
+            got = generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + p)
+            assert_same_stream(got, want)
 
     def test_residual_reaching_threshold_fires_on_a_still_step(self):
         # log(o / bg) is 2 C up to rounding: the t=2000 step emits one event,
