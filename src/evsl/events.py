@@ -144,7 +144,10 @@ class EventFrame:
     window: tuple[float, float]
 
     def __post_init__(self):
+        w, h = self.resolution
         object.__setattr__(self, "counts", _frozen(self.counts, np.int64))
+        if self.counts.shape != (h, w):
+            raise ValueError("counts shape must be (height, width)")
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,10 @@ class TimeSurface:
     window: tuple[float, float]
 
     def __post_init__(self):
+        w, h = self.resolution
         object.__setattr__(self, "last_t", _frozen(self.last_t, np.float64))
+        if self.last_t.shape != (h, w):
+            raise ValueError("last_t shape must be (height, width)")
 
     @property
     def occupied(self) -> np.ndarray:

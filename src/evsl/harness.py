@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario, parse_scenario  # the loaders are re-exported
 from .depth import DegenerateInputError, PointCloud, depth_to_points, fit_plane, reconstruct_depth
-from .events import DepthMap, EventStream, make_event_frame, make_time_surface
+from .events import DepthMap, EventFrame, EventStream, make_event_frame, make_time_surface
 from .formats import write_csv, write_depth_pgm, write_event_stream, write_pbm, write_ply
 from .policy import (
     DensePolicy, EventGuidedPolicy, IlluminationMask, RoiSet, SparsePolicy,
@@ -99,7 +99,16 @@ def _window(scenario: Scenario, p: int) -> tuple[float, float]:
 
 def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSet | None]:
     """Guide stream of period ``p``, its active-pixel fraction, and the event-guided
-    ROIs that the next period's mask uses (None where there is none); the frame is not kept."""
+    ROIs that the next period's mask uses (None where there is none); the frame is not kept.
+
+    The median and the ROI search see only a read-only view of the counts over
+    the events' bounding box, widened by ``median_kernel_px // 2 + dilation_px``
+    and clipped to the sensor; their boxes are then shifted by the crop's
+    origin. Both work alike wherever the frame sits: outside the events' box
+    every count is zero, the median is nonzero only within ``k // 2`` of it,
+    and a dilated box then reaches at most ``dilation_px`` further, so the
+    crop's zero padding and its clip give what the full frame gives.
+    """
     window = _window(scenario, p)
     stream = generate_guide_events(scenario.script, scenario.guide_camera, window, seed=scenario.seed + p)
     frame = make_event_frame(stream, window)
@@ -108,8 +117,16 @@ def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSe
     active = active_pixel_fraction(frame, policy.active_threshold if guided else 1)
     if not guided or p + 1 == scenario.periods:
         return stream, active, None
-    filtered = median_filter_frame(frame, policy.median_kernel_px)
-    return stream, active, detect_roi(filtered, policy.active_threshold, policy.min_area_px, policy.dilation_px)
+    if not len(stream):
+        return stream, active, RoiSet(())
+    margin = policy.median_kernel_px // 2 + policy.dilation_px
+    w, h = frame.resolution
+    xa, xb = max(int(stream.x.min()) - margin, 0), min(int(stream.x.max()) + margin + 1, w)
+    ya, yb = max(int(stream.y.min()) - margin, 0), min(int(stream.y.max()) + margin + 1, h)
+    crop = EventFrame((xb - xa, yb - ya), frame.counts[ya:yb, xa:xb], frame.window)
+    filtered = median_filter_frame(crop, policy.median_kernel_px)
+    rois = detect_roi(filtered, policy.active_threshold, policy.min_area_px, policy.dilation_px)
+    return stream, active, RoiSet(tuple((x0 + xa, y0 + ya, x1 + xa, y1 + ya) for x0, y0, x1, y1 in rois.boxes))
 
 
 def _mask_for_period(scenario: Scenario, prev_rois: RoiSet | None):

@@ -6,11 +6,14 @@ internal rate, tracks a per-pixel reference log-intensity, and emits an event
 whenever the log intensity crosses a multiple of the contrast threshold,
 with the inter-frame crossing time recovered by linear interpolation.
 
-Only moving rectangles change the image, so at each internal step the camera
-re-tests just the pixels in the box spanning the old and new rectangle of each
-object that moved, plus the pixels that fired at the previous step (their
-reference moved by a multiple of the threshold, and the floating-point
-residual can still reach it). Every other pixel has the same intensity and
+Only moving rectangles change the image, so the camera keeps its per-pixel
+state only over the box that every object rectangle of the interval spans
+(outside it no pixel ever changes), and at each internal step re-tests just
+the pixels that a moved rectangle left or entered, plus the pixels that fired
+at the previous step (their reference moved by a multiple of the threshold,
+and the floating-point residual can still reach it). A pixel inside both the
+old and the new rectangle of every object that covers it, or inside neither,
+is painted with the same value as before, so it has the same intensity and
 reference as at a test that gave no event.
 """
 
@@ -18,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .events import DepthMap, EventStream, _check_resolution
+from .events import DepthMap, EventStream, _check_resolution, _row_col
 
 _Box = tuple[int, int, int, int]  # (ya, yb, xa, xb), half-open pixel ranges
 
@@ -55,10 +59,15 @@ class Background:
 
     def intensity_image(self, resolution: tuple[int, int]) -> np.ndarray:
         w, h = resolution
+        return self._intensity_window((0, h, 0, w))
+
+    def _intensity_window(self, box: _Box) -> np.ndarray:
+        """Intensity over the frame pixels of ``box``; checker tiles stay anchored at pixel (0, 0)."""
+        ya, yb, xa, xb = box
         if self.checker is None:
-            return np.full((h, w), self.intensity)
-        yy, xx = np.mgrid[0:h, 0:w]
-        parity = (xx // self.checker.tile_px + yy // self.checker.tile_px) % 2
+            return np.full((yb - ya, xb - xa), self.intensity)
+        tile = self.checker.tile_px
+        parity = (np.arange(ya, yb)[:, None] // tile + np.arange(xa, xb) // tile) % 2
         return np.where(parity == 0, self.checker.low, self.checker.high).astype(np.float64)
 
 
@@ -176,6 +185,25 @@ def _bounding_box(a: _Box | None, b: _Box | None) -> _Box | None:
     return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
 
 
+def _intersect(a: _Box | None, b: _Box | None) -> _Box | None:
+    """Pixels of both boxes; None when they do not overlap or either is None."""
+    if a is None or b is None:
+        return None
+    ya, yb, xa, xb = max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3])
+    return (ya, yb, xa, xb) if ya < yb and xa < xb else None
+
+
+def _minus(a: _Box | None, b: _Box | None) -> list[_Box]:
+    """Pixels of ``a`` outside ``b``, as at most four disjoint boxes."""
+    common = _intersect(a, b)
+    if common is None:
+        return [] if a is None else [a]
+    ya, yb, xa, xb = a
+    ca, cb, cxa, cxb = common
+    parts = [(ya, ca, xa, xb), (cb, yb, xa, xb), (ca, cb, xa, cxa), (ca, cb, cxb, xb)]
+    return [(y0, y1, x0, x1) for y0, y1, x0, x1 in parts if y0 < y1 and x0 < x1]
+
+
 def _paint(image: np.ndarray, boxes: list[_Box | None], values: np.ndarray) -> None:
     """Fill each box of ``image`` with its value, in order; None boxes are skipped."""
     for box, value in zip(boxes, values):
@@ -198,15 +226,18 @@ def generate_guide_events(
     emitted multiple of C. Event timestamps are placed where the linear
     intensity ramp crosses each successive threshold level.
 
-    The reference starts from the scene rendered at the interval start. At
-    each step only two kinds of pixel are re-tested: those inside the
-    bounding box of an object's clipped rectangle at the previous and the
-    current step, for every object whose rectangle changed, and those that
-    fired at the previous step, because after ``ref += sign * n * C`` the
-    floating-point residual can still reach C. Any other pixel kept its
-    intensity and its reference since a test that gave no event, so it
-    cannot fire. Within a step, events are ordered by pixel in row-major
-    order, as a test over the full frame would order them.
+    The reference starts from the scene rendered at the interval start. The
+    intensity and the reference are kept only over the bounding box of every
+    object's clipped rectangle at every render step of the interval: outside
+    it the background is never covered, so nothing changes and nothing fires.
+    At each step only two kinds of pixel are re-tested: those that an object
+    whose rectangle changed left (old minus new rectangle) or entered (new
+    minus old), and those that fired at the previous step, because after
+    ``ref += sign * n * C`` the floating-point residual can still reach C.
+    Any other pixel is covered by the same objects as at the previous step,
+    so it kept its intensity and its reference since a test that gave no
+    event, and it cannot fire. Within a step, events are ordered by pixel in
+    row-major order, as a test over the full frame would order them.
     """
     t0, t1 = interval
     if not (0.0 <= t0 <= t1 <= script.duration_us):
@@ -217,50 +248,58 @@ def generate_guide_events(
     c = camera.contrast_threshold
     step_us = 1e6 / camera.render_rate_hz
     times = _render_times(t0, t1, step_us)
-    w = script.resolution[0]
 
     objects = _paint_order(script)
     obj_log = np.log(np.array([o.intensity for o in objects], dtype=np.float64))
-    bg_log = np.log(script.background.intensity_image(script.resolution))
-    boxes = [_object_box(o, times[0], script.resolution) for o in objects]
-    cur = bg_log.copy()  # log intensity at the current render step
+    frame_boxes = [[_object_box(o, t, script.resolution) for o in objects] for t in times]
+    # the state window: (0, 0, 0, 0) when no object is ever in frame
+    window = reduce(_bounding_box, (b for boxes in frame_boxes for b in boxes), None) or (0, 0, 0, 0)
+    oy, _, ox, _ = window
+    steps = [[None if b is None else (b[0] - oy, b[1] - oy, b[2] - ox, b[3] - ox) for b in boxes]
+             for boxes in frame_boxes]  # in window coordinates
+    bg_log = np.log(script.background._intensity_window(window))
+    ww = bg_log.shape[1]
+    boxes = steps[0]
+    cur = bg_log.copy()  # log intensity at the current render step, over the window
     _paint(cur, boxes, obj_log)
     ref = cur.copy()
     cur_flat, ref_flat = cur.ravel(), ref.ravel()
-    fired = np.empty(0, dtype=np.intp)  # flat indices that fired at the previous step
+    fired = np.empty(0, dtype=np.intp)  # window flat indices that fired at the previous step
     ts_parts: list[np.ndarray] = []
     xs_parts: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     ps_parts: list[np.ndarray] = []
 
-    for t_prev, t_cur in zip(times[:-1], times[1:]):
-        new_boxes = [_object_box(o, t_cur, script.resolution) for o in objects]
-        moved = [_bounding_box(a, b) for a, b in zip(boxes, new_boxes) if a != b]
+    for t_prev, t_cur, new_boxes in zip(times[:-1], times[1:], steps[1:]):
+        strips = [s for a, b in zip(boxes, new_boxes) if a != b for s in (*_minus(a, b), *_minus(b, a))]
         boxes = new_boxes
-        if moved:
-            for ya, yb, xa, xb in moved:
-                cur[ya:yb, xa:xb] = bg_log[ya:yb, xa:xb]
-            _paint(cur, boxes, obj_log)
+        for strip in strips:
+            ya, yb, xa, xb = strip
+            cur[ya:yb, xa:xb] = bg_log[ya:yb, xa:xb]
+            _paint(cur, [_intersect(box, strip) for box in boxes], obj_log)
 
         hits = [fired[np.abs(cur_flat[fired] - ref_flat[fired]) / c >= 1]]
-        for ya, yb, xa, xb in moved:
+        for ya, yb, xa, xb in strips:
             ys, xs = np.nonzero(np.abs(cur[ya:yb, xa:xb] - ref[ya:yb, xa:xb]) / c >= 1)
-            hits.append((ys + ya) * w + (xs + xa))
-        fired = np.unique(np.concatenate(hits))  # sorted flat indices: row-major order
+            hits.append((ys + ya) * ww + (xs + xa))
+        fired = np.sort(np.concatenate(hits))  # flat indices in row-major order
+        fresh = np.ones(len(fired), dtype=bool)
+        fresh[1:] = fired[1:] != fired[:-1]  # strips may overlap each other and the previous firings
+        fired = fired[fresh]
         if len(fired):
             dl = cur_flat[fired] - ref_flat[fired]
             mag = np.abs(dl)
             n_px = np.floor(mag / c).astype(np.int64)
             sign = np.sign(dl)
-            ys, xs = np.divmod(fired, w)
+            ys, xs = _row_col(fired, ww)
             # per-event crossing index j = 1..n within each firing pixel
             total = int(n_px.sum())
             rep = np.repeat(np.arange(len(fired)), n_px)
             j = np.arange(total) - np.repeat(np.cumsum(n_px) - n_px, n_px) + 1
             frac = (j * c) / mag[rep]
             ts_parts.append(t_prev + (t_cur - t_prev) * frac)
-            xs_parts.append(xs[rep].astype(np.int32))
-            ys_parts.append(ys[rep].astype(np.int32))
+            xs_parts.append(xs[rep] + ox)  # int32, as _row_col gives
+            ys_parts.append(ys[rep] + oy)
             ps_parts.append(sign[rep].astype(np.int8))
             ref_flat[fired] += sign * n_px * c
 

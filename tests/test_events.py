@@ -164,6 +164,12 @@ class TestEventFrame:
         with pytest.raises(ValueError):
             make_event_frame(EventStream.empty((4, 4)), (5.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5, 1), (15,)])
+    def test_counts_not_of_shape_height_width_rejected(self, shape):
+        EventFrame((5, 3), np.zeros((3, 5)), (0.0, 1.0))
+        with pytest.raises(ValueError, match="counts shape"):
+            EventFrame((5, 3), np.zeros(shape), (0.0, 1.0))
+
     def test_matches_bruteforce_count(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -188,6 +194,12 @@ class TestTimeSurface:
         surf = make_time_surface(EventStream.empty((4, 4)), (0.0, 1.0))
         assert np.isnan(surf.last_t).all()
         assert not surf.occupied.any()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5, 1), (15,)])
+    def test_last_t_not_of_shape_height_width_rejected(self, shape):
+        TimeSurface((5, 3), np.zeros((3, 5)), (0.0, 1.0))
+        with pytest.raises(ValueError, match="last_t shape"):
+            TimeSurface((5, 3), np.zeros(shape), (0.0, 1.0))
 
     def test_matches_bruteforce_max(self):
         rng = np.random.default_rng(7)

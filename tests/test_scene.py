@@ -87,6 +87,17 @@ class TestRenderScene:
         assert img[0, 2] == 0.7
         assert img[2, 0] == 0.7
 
+    @settings(max_examples=100)
+    @given(tile=st.integers(1, 9), w=st.integers(1, 30), h=st.integers(1, 20), data=st.data())
+    def test_window_of_checker_is_slice_of_full_image(self, tile, w, h, data):
+        background = Background(2.0, checker=CheckerTexture(tile, 0.3, 0.7))
+        ya, yb = sorted(data.draw(st.tuples(st.integers(0, h), st.integers(0, h)), label="rows"))
+        xa, xb = sorted(data.draw(st.tuples(st.integers(0, w), st.integers(0, w)), label="cols"))
+        window = background._intensity_window((ya, yb, xa, xb))
+        full = background.intensity_image((w, h))[ya:yb, xa:xb]
+        assert window.dtype == full.dtype == np.float64
+        np.testing.assert_array_equal(window, full)
+
 
 class TestGuideEvents:
     def test_static_scene_is_silent(self):
