@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .events import make_event_frame
-from .formats import format_cell, read_event_stream
+from .formats import format_cell, read_event_stream, write_csv
 from .harness import (
     COMPARE_CSV_HEADER,
     DUMP_KINDS,
@@ -23,11 +23,8 @@ from .harness import (
     run_scenario,
     sweep_dwell_time,
     sweep_event_rate,
-    write_sweep_csv,
 )
 from .policy import active_pixel_fraction
-
-_PARALLEL_HELP = "run the guide stage, then whole periods, on a 2-worker thread pool (identical output)"
 
 
 def _add_sweep_args(sub: argparse.ArgumentParser) -> None:
@@ -54,7 +51,7 @@ def _emit_rows(rows, header, out_path) -> None:
         for row in rows:
             print(",".join(format_cell(row[k]) for k in header))
     else:
-        write_sweep_csv(rows, header, out_path)
+        write_csv(out_path, header, ([row[k] for k in header] for row in rows))
         print(f"wrote {out_path}")
 
 
@@ -65,14 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one scenario and write per-period metrics")
-    sim.add_argument("scenario", type=Path, help="scenario YAML file")
-    sim.add_argument("--out-dir", type=Path, default=None, help="artifact directory")
-    sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim.add_argument("--periods", type=int, default=None, help="override the period count")
+    run_args = argparse.ArgumentParser(add_help=False)  # shared by simulate and compare-sampling
+    run_args.add_argument("scenario", type=Path, help="scenario YAML file")
+    run_args.add_argument("--out-dir", type=Path, default=None, help="artifact directory")
+    run_args.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_args.add_argument("--periods", type=int, default=None, help="override the period count")
+    run_args.add_argument("--parallel", action="store_true",
+                          help="run the guide stage, then whole periods, on a 2-worker thread pool (identical output)")
+
+    sim = sub.add_parser("simulate", parents=[run_args], help="run one scenario and write per-period metrics")
     sim.add_argument("--dump", nargs="+", choices=DUMP_KINDS, default=[],
                      help="artifact kinds to write per period")
-    sim.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     for name, help_text in (
         ("sweep-delta-t", "dense dwell time per sensor preset over a frequency range"),
@@ -81,12 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep = sub.add_parser(name, help=help_text)
         _add_sweep_args(sweep)
 
-    cmp_parser = sub.add_parser("compare-sampling", help="dense vs sparse vs event-guided on one scenario")
-    cmp_parser.add_argument("scenario", type=Path)
-    cmp_parser.add_argument("--out-dir", type=Path, default=None)
-    cmp_parser.add_argument("--seed", type=int, default=None)
-    cmp_parser.add_argument("--periods", type=int, default=None)
-    cmp_parser.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
+    sub.add_parser("compare-sampling", parents=[run_args], help="dense vs sparse vs event-guided on one scenario")
 
     active = sub.add_parser("active-pixels", help="active-pixel fraction of an event stream file")
     active.add_argument("events", type=Path, help="event stream text file (t_us,x,y,p)")
@@ -118,9 +113,7 @@ def _cmd_compare(args) -> int:
     scenario = _load_with_overrides(args)
     out_dir = args.out_dir or scenario.out_dir
     rows = compare_sampling(scenario, parallel=args.parallel, out_dir=out_dir)
-    print(",".join(COMPARE_CSV_HEADER))
-    for row in rows:
-        print(",".join(format_cell(row[k]) for k in COMPARE_CSV_HEADER))
+    _emit_rows(rows, COMPARE_CSV_HEADER, None)
     if out_dir is not None:
         print(f"wrote {Path(out_dir) / 'compare_sampling.csv'}")
     return 0
@@ -129,10 +122,7 @@ def _cmd_compare(args) -> int:
 def _cmd_active_pixels(args) -> int:
     resolution = tuple(args.resolution) if args.resolution else None
     stream = read_event_stream(args.events, resolution)
-    if len(stream) == 0:
-        print("active_pixel_fraction 0")
-        return 0
-    frame = make_event_frame(stream, (float(stream.t[0]), float(stream.t[-1]) + 1.0))
+    frame = make_event_frame(stream, (0.0, float("inf")))  # timestamps are finite and non-negative
     fraction = active_pixel_fraction(frame, args.threshold)
     print(f"active_pixel_fraction {fraction:.6g}")
     return 0

@@ -70,9 +70,8 @@ class EventStream:
     p: np.ndarray
 
     def __post_init__(self):
+        _check_resolution(self.resolution)
         w, h = self.resolution
-        if w < 1 or h < 1:
-            raise ValueError(f"invalid resolution {self.resolution!r}")
         if not np.all(np.abs(np.asarray(self.p)) == 1):  # before the int8 cast, which wraps 257 to 1
             raise ValueError("polarity must be -1 or +1")
         for name, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32), ("p", np.int8)):
@@ -101,10 +100,8 @@ class EventStream:
     def from_arrays(cls, resolution, t, x, y, p) -> "EventStream":
         """Build a stream from unsorted arrays with a stable sort by time."""
         t = np.asarray(t, dtype=np.float64)
-        if len(t) > 1:
-            order = np.argsort(t, kind="stable")
-            return cls(resolution, t[order], np.asarray(x)[order], np.asarray(y)[order], np.asarray(p)[order])
-        return cls(resolution, t, x, y, p)
+        order = np.argsort(t, kind="stable")
+        return cls(resolution, t[order], np.asarray(x)[order], np.asarray(y)[order], np.asarray(p)[order])
 
     @staticmethod
     def merge(streams: Iterable["EventStream"]) -> "EventStream":

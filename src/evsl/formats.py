@@ -128,8 +128,7 @@ def write_depth_pgm(path: str | os.PathLike, depth_map: DepthMap) -> None:
     else:
         meters_per_unit = 1.0
     levels = np.zeros(depth_map.depth.shape, dtype=np.int64)
-    if valid.any():
-        levels[valid] = np.clip(np.floor(depth_map.depth[valid] / meters_per_unit + 0.5), 1, 65535).astype(np.int64)
+    levels[valid] = np.clip(np.floor(depth_map.depth[valid] / meters_per_unit + 0.5), 1, 65535).astype(np.int64)
     write_pgm16(path, levels)
     with open(f"{os.fspath(path)}.meta", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"meters_per_unit {meters_per_unit:.12g}\n")

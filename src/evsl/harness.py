@@ -66,10 +66,6 @@ PERIOD_CSV_HEADER = [
 ]
 
 
-def write_period_csv(reports: Sequence[PeriodReport], path: str | os.PathLike) -> None:
-    write_csv(path, PERIOD_CSV_HEADER, map(astuple, reports))
-
-
 def _resample_depth(depth_map: DepthMap, resolution: tuple[int, int]) -> DepthMap:
     """Nearest-neighbor resample onto another grid (rectified, axis-aligned)."""
     if depth_map.resolution == resolution:
@@ -130,14 +126,11 @@ def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSe
 
 
 def _mask_for_period(scenario: Scenario, prev_rois: RoiSet | None):
-    """Illumination mask from the previous period's guide ROIs (None in period 0)."""
+    """Illumination mask from the previous period's guide ROIs (None in period 0: the event-guided fallback)."""
     policy = scenario.policy
+    if prev_rois is None and isinstance(policy, EventGuidedPolicy):
+        policy = DensePolicy() if policy.first_period == "dense" else SparsePolicy(policy.background_stride)
     proj_res = scenario.projector.resolution
-    if isinstance(policy, (DensePolicy, SparsePolicy)):
-        return build_mask(policy, proj_res)
-    if prev_rois is None:
-        fallback = DensePolicy() if policy.first_period == "dense" else SparsePolicy(policy.background_stride)
-        return build_mask(fallback, proj_res)
     scene_w, scene_h = scenario.script.resolution
     scale = (proj_res[0] / scene_w, proj_res[1] / scene_h)
     return build_mask(policy, proj_res, prev_rois, scale)
@@ -251,7 +244,7 @@ def run_scenario(
             write_ply(out_path / f"cloud_{tag}.ply", cloud)
 
     if out_dir is not None:
-        write_period_csv(reports, out_path / "periods.csv")
+        write_csv(out_path / "periods.csv", PERIOD_CSV_HEADER, map(astuple, reports))
     return reports
 
 
@@ -325,7 +318,3 @@ def sweep_event_rate(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> li
     frequencies_hz = tuple(frequencies_hz)  # iterated once per preset
     return [{"preset": p.name, "f_hz": float(f), "event_rate_ev_s": raster_event_rate(f, *p.resolution)}
             for p in SENSOR_PRESETS for f in frequencies_hz]
-
-
-def write_sweep_csv(rows: Sequence[dict], header: Sequence[str], path: str | os.PathLike) -> None:
-    write_csv(path, header, ([row[k] for k in header] for row in rows))

@@ -110,8 +110,6 @@ def median_filter_frame(frame: EventFrame, kernel_px: int = 3) -> EventFrame:
     """
     if kernel_px < 1 or kernel_px % 2 == 0:
         raise ValueError("kernel size must be odd and >= 1")
-    if kernel_px == 1:
-        return frame
     k, r = kernel_px, kernel_px // 2
     h, w = frame.counts.shape
     padded = np.zeros((h + 2 * r, w + 2 * r), dtype=frame.counts.dtype)

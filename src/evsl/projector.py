@@ -85,9 +85,7 @@ SENSOR_PRESETS: tuple[SensorPreset, ...] = (
 
 def pixel_dwell_time(frequency_hz: float, width: int, height: int) -> float:
     """Seconds between consecutive raster slots of a dense scan."""
-    if frequency_hz <= 0 or width <= 0 or height <= 0:
-        raise ValueError("frequency and resolution must be positive")
-    return 1.0 / (frequency_hz * width * height)
+    return 1.0 / raster_event_rate(frequency_hz, width, height)
 
 
 def raster_event_rate(frequency_hz: float, width: int, height: int) -> float:
@@ -223,7 +221,7 @@ def _keyed_hash(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
 
 def _keyed_uniforms(h: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
     """Deterministic uniforms in [0, 1) (or (0, 1]) of one stream, from :func:`_keyed_hash` values ``h``,
-    which are left as they are, so one hash serves every stream."""
+    which are left as they are: one hash per reflection call serves every stream, freed before its sort."""
     x = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
     x >>= _U64(11)
     u = x.astype(np.float64)
@@ -265,7 +263,9 @@ def simulate_reflection_events(
     Noise is drawn only for firings that land in frame. That is exact: each
     draw is keyed by raster index, so a firing's jitter and drop do not depend
     on which others are drawn. Jitter sigma still follows all the plan's firings.
-    Quantized events are ordered by integer clock tick, which is their time order.
+    One hash of the landing keys serves jitter and drops and is freed before
+    the one stable sort: by integer clock tick when quantized (their time
+    order), else by time.
     The geometry and the noise chain work in place on the arrays they own, and
     the draws per firing are the same as computing each step in a new array.
 
@@ -291,31 +291,32 @@ def simulate_reflection_events(
 
     t = plan.fire_t_us[landed]
     t += noise.latency_us
-    if noise.jitter_anchors:
-        # Modelling choice: sigma follows the period's mean firing rate, not the
-        # local burst rate inside an ROI, so a sparser mask means less jitter.
-        # Acceptance criterion 4's noise ordering across policies rests on it.
-        # numpy elides the temporary: sigma scales the normals in their own array.
-        sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
+    # Modelling choice: sigma follows the period's mean firing rate, not the
+    # local burst rate inside an ROI, so a sparser mask means less jitter.
+    # Acceptance criterion 4's noise ordering across policies rests on it.
+    # numpy elides the temporary: sigma scales the normals in their own array.
+    sigma = timestamp_jitter_std(noise, plan.mean_event_rate)  # 0 without jitter anchors
+    if sigma > 0 or noise.drop_probability > 0:
+        h = _keyed_hash(noise.seed, sequence, plan.k[landed])  # one hash for the jitter and the drop draws
         if sigma > 0:
-            t += sigma * _keyed_normals(_keyed_hash(noise.seed, sequence, plan.k[landed]))
-    if noise.drop_probability > 0:
-        kept = _keyed_uniforms(_keyed_hash(noise.seed, sequence, plan.k[landed]), stream=3) >= noise.drop_probability
-        landed, t = landed[kept], t[kept]
+            t += sigma * _keyed_normals(h)
+        if noise.drop_probability > 0:
+            kept = _keyed_uniforms(h, stream=3) >= noise.drop_probability
+            landed, t = landed[kept], t[kept]
+        del h  # freed before the sort
     if noise.quantization_us > 0:
         # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
         # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
         t /= noise.quantization_us
         t += 0.5
-        np.maximum(np.floor(t, out=t), 0.0, out=t)
-        lo = t.min(initial=np.inf)
-        order = np.argsort((t - lo).astype(np.uint16) if t.max(initial=0.0) - lo <= 0xFFFF else t, kind="stable")
-        t = t[order]
+        np.floor(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    lo = t.min(initial=np.inf)
+    tick_key = noise.quantization_us > 0 and t.max(initial=0.0) - lo <= 0xFFFF
+    order = np.argsort((t - lo).astype(np.uint16) if tick_key else t, kind="stable")
+    t = t[order]
+    if noise.quantization_us > 0:
         t *= noise.quantization_us
-    else:
-        np.maximum(t, 0.0, out=t)
-        order = np.argsort(t, kind="stable")
-        t = t[order]
 
     tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
              "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(landed)}

@@ -8,13 +8,13 @@ with the inter-frame crossing time recovered by linear interpolation.
 
 Only moving rectangles change the image, so the camera keeps its per-pixel
 state only over the box that every object rectangle of the interval spans
-(outside it no pixel ever changes), and at each internal step re-tests just
-the pixels that a moved rectangle left or entered, plus the pixels that fired
-at the previous step (their reference moved by a multiple of the threshold,
-and the floating-point residual can still reach it). A pixel inside both the
-old and the new rectangle of every object that covers it, or inside neither,
-is painted with the same value as before, so it has the same intensity and
-reference as at a test that gave no event.
+(outside it no pixel ever changes). At each internal step one boolean re-test
+mask marks just the pixels that a moved rectangle left or entered, plus the
+pixels that fired at the previous step (their reference moved by a multiple
+of the threshold, and the floating-point residual can still reach it). A
+pixel inside both the old and the new rectangle of every object that covers
+it, or inside neither, is painted with the same value as before, so it has
+the same intensity and reference as at a test that gave no event.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class Background:
             raise ValueError("background depth must be positive")
         if not (0 < self.intensity <= 1):
             raise ValueError("background intensity must lie in (0, 1]")
-
-    def intensity_image(self, resolution: tuple[int, int]) -> np.ndarray:
-        w, h = resolution
-        return self._intensity_window((0, h, 0, w))
 
     def _intensity_window(self, box: _Box) -> np.ndarray:
         """Intensity over the frame pixels of ``box``; checker tiles stay anchored at pixel (0, 0)."""
@@ -230,14 +226,14 @@ def generate_guide_events(
     intensity and the reference are kept only over the bounding box of every
     object's clipped rectangle at every render step of the interval: outside
     it the background is never covered, so nothing changes and nothing fires.
-    At each step only two kinds of pixel are re-tested: those that an object
-    whose rectangle changed left (old minus new rectangle) or entered (new
-    minus old), and those that fired at the previous step, because after
-    ``ref += sign * n * C`` the floating-point residual can still reach C.
-    Any other pixel is covered by the same objects as at the previous step,
-    so it kept its intensity and its reference since a test that gave no
-    event, and it cannot fire. Within a step, events are ordered by pixel in
-    row-major order, as a test over the full frame would order them.
+    At each step a boolean re-test mask over the window marks two kinds of
+    pixel: those that an object whose rectangle changed left (old minus new
+    rectangle) or entered (new minus old), and those that fired at the
+    previous step, because after ``ref += sign * n * C`` the floating-point
+    residual can still reach C. Any other pixel is covered by the same
+    objects as at the previous step, so it kept its intensity and its
+    reference since a test that gave no event, and it cannot fire. The marked
+    pixels are tested, and fire, in row-major order, as over the full frame.
     """
     t0, t1 = interval
     if not (0.0 <= t0 <= t1 <= script.duration_us):
@@ -264,11 +260,9 @@ def generate_guide_events(
     _paint(cur, boxes, obj_log)
     ref = cur.copy()
     cur_flat, ref_flat = cur.ravel(), ref.ravel()
-    fired = np.empty(0, dtype=np.intp)  # window flat indices that fired at the previous step
-    ts_parts: list[np.ndarray] = []
-    xs_parts: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
-    ps_parts: list[np.ndarray] = []
+    retest = np.zeros(cur.shape, dtype=bool)  # the pixels to test at the next step
+    retest_flat = retest.ravel()
+    parts: list[tuple[np.ndarray, ...]] = []  # (t, x, y, p) per step; x and y int32, as _row_col gives
 
     for t_prev, t_cur, new_boxes in zip(times[:-1], times[1:], steps[1:]):
         strips = [s for a, b in zip(boxes, new_boxes) if a != b for s in (*_minus(a, b), *_minus(b, a))]
@@ -277,15 +271,12 @@ def generate_guide_events(
             ya, yb, xa, xb = strip
             cur[ya:yb, xa:xb] = bg_log[ya:yb, xa:xb]
             _paint(cur, [_intersect(box, strip) for box in boxes], obj_log)
+            retest[ya:yb, xa:xb] = True
 
-        hits = [fired[np.abs(cur_flat[fired] - ref_flat[fired]) / c >= 1]]
-        for ya, yb, xa, xb in strips:
-            ys, xs = np.nonzero(np.abs(cur[ya:yb, xa:xb] - ref[ya:yb, xa:xb]) / c >= 1)
-            hits.append((ys + ya) * ww + (xs + xa))
-        fired = np.sort(np.concatenate(hits))  # flat indices in row-major order
-        fresh = np.ones(len(fired), dtype=bool)
-        fresh[1:] = fired[1:] != fired[:-1]  # strips may overlap each other and the previous firings
-        fired = fired[fresh]
+        tested = np.flatnonzero(retest)  # window flat indices in row-major order
+        hit = np.abs(cur_flat[tested] - ref_flat[tested]) / c >= 1
+        retest_flat[tested] = hit  # the firings stay marked for the next step
+        fired = tested[hit]
         if len(fired):
             dl = cur_flat[fired] - ref_flat[fired]
             mag = np.abs(dl)
@@ -297,10 +288,7 @@ def generate_guide_events(
             rep = np.repeat(np.arange(len(fired)), n_px)
             j = np.arange(total) - np.repeat(np.cumsum(n_px) - n_px, n_px) + 1
             frac = (j * c) / mag[rep]
-            ts_parts.append(t_prev + (t_cur - t_prev) * frac)
-            xs_parts.append(xs[rep] + ox)  # int32, as _row_col gives
-            ys_parts.append(ys[rep] + oy)
-            ps_parts.append(sign[rep].astype(np.int8))
+            parts.append((t_prev + (t_cur - t_prev) * frac, xs[rep] + ox, ys[rep] + oy, sign[rep].astype(np.int8)))
             ref_flat[fired] += sign * n_px * c
 
     if camera.noise_rate_hz > 0:
@@ -309,16 +297,13 @@ def generate_guide_events(
         lam = camera.noise_rate_hz * w * h * (t1 - t0) * 1e-6
         n_noise = int(rng.poisson(lam))
         if n_noise:
-            ts_parts.append(rng.uniform(t0, t1, size=n_noise))
-            xs_parts.append(rng.integers(0, w, size=n_noise, dtype=np.int32))
-            ys_parts.append(rng.integers(0, h, size=n_noise, dtype=np.int32))
-            ps_parts.append(rng.choice(np.array([-1, 1], dtype=np.int8), size=n_noise))
+            parts.append((rng.uniform(t0, t1, size=n_noise),
+                          rng.integers(0, w, size=n_noise, dtype=np.int32),
+                          rng.integers(0, h, size=n_noise, dtype=np.int32),
+                          rng.choice(np.array([-1, 1], dtype=np.int8), size=n_noise)))
 
-    if not ts_parts:
+    if not parts:
         return EventStream.empty(script.resolution)
-    t = np.concatenate(ts_parts)
-    x = np.concatenate(xs_parts)
-    y = np.concatenate(ys_parts)
-    p = np.concatenate(ps_parts)
+    t, x, y, p = map(np.concatenate, zip(*parts))
     keep = t < t1  # a crossing exactly at the interval end belongs to the next window
     return EventStream.from_arrays(script.resolution, t[keep], x[keep], y[keep], p[keep])

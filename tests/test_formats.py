@@ -373,6 +373,12 @@ class TestPgm:
         assert "meters_per_unit" in meta
         assert "invalid_value 0" in meta
 
+    def test_depth_pgm_without_valid_pixel(self, tmp_path):
+        path = tmp_path / "depth.pgm"
+        write_depth_pgm(path, DepthMap((5, 3), np.full((3, 5), 2.0), np.zeros((3, 5), dtype=bool)))
+        assert np.array_equal(read_pgm16(path), np.zeros((3, 5)))
+        assert (tmp_path / "depth.pgm.meta").read_text() == "meters_per_unit 1\ninvalid_value 0\n"
+
     def test_level_range_enforced(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm16(tmp_path / "x.pgm", np.array([[70000]]))

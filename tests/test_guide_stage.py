@@ -3,7 +3,8 @@
 The parent's ``generate_guide_events`` (state over the whole frame, the box
 spanning each moved rectangle's old and new position re-tested) and its
 ``_guide_period`` (median and ROI search over the whole frame) are kept below
-verbatim as oracles, apart from their names.
+verbatim as oracles, apart from their names and the full-frame background,
+which ``test_scene.intensity_image`` now gives.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from evsl.scene import (
     Background, CheckerTexture, GuideCameraModel, MovingObject, SceneScript,
     _bounding_box, _object_box, _paint, _paint_order, _render_times,
 )
-from test_scene import assert_same_stream
+from test_scene import assert_same_stream, intensity_image
 
 
 # --------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def _parent_generate_guide_events(
 
     objects = _paint_order(script)
     obj_log = np.log(np.array([o.intensity for o in objects], dtype=np.float64))
-    bg_log = np.log(script.background.intensity_image(script.resolution))
+    bg_log = np.log(intensity_image(script.background, script.resolution))
     boxes = [_object_box(o, times[0], script.resolution) for o in objects]
     cur = bg_log.copy()  # log intensity at the current render step
     _paint(cur, boxes, obj_log)

@@ -127,6 +127,10 @@ class TestResolutionGuard:
     def test_largest_raster_accepted(self):
         assert ProjectorModel((2**31 - 1, 1)).pixel_count == 2**31 - 1
 
+    def test_event_stream_at_2_31_pixels_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            EventStream.empty((65536, 32768))
+
 
 def _parent_build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: float = 0.0) -> ScanPlan:
     """Schedule fire times for every masked-on pixel in raster order."""
@@ -477,10 +481,15 @@ class TestReflectionMatchesOracle:
         assert list(got_tally.items()) == list(want_tally.items())
         assert_same_stream(got, want)
 
-    @pytest.mark.parametrize("quantization_us", [0.0, 0.25, 1.0, 2.5])
-    def test_dense_period_each_sort_key(self, quantization_us):
-        # a dense 64x48 period at 60 Hz spans 66,667 ticks of 0.25 us, past the uint16 key
-        geom, proj, depth = plane_setup()
+    @pytest.mark.parametrize(
+        "quantization_us, f_hz",
+        [(0.0, 60.0), (0.25, 60.0), (1.0, 60.0), (2.5, 60.0), (0.0, 2000.0)],
+        ids=["0.0", "0.25", "1.0", "2.5", "0.0-2kHz"],
+    )
+    def test_dense_period_each_sort_key(self, quantization_us, f_hz):
+        # a dense 64x48 period at 60 Hz spans 66,667 ticks of 0.25 us, past the uint16 key;
+        # at 2 kHz firings are 0.16 us apart, so jitter reorders them within one microsecond
+        geom, proj, depth = plane_setup(f_hz=f_hz)
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
         nm = NoiseModel(latency_us=3.7, quantization_us=quantization_us, seed=4)
         got, got_tally = simulate_reflection_events(plan, depth, geom, nm, sequence=2)

@@ -1,11 +1,14 @@
-"""Dumped bytes of the two bundled scenarios that ``perfbench/reference.json`` does not cover.
+"""Dumped bytes of the bundled scenarios whose dumps ``perfbench/reference.json`` does not cover.
 
 ``noiseless_plane`` is the only bundled scenario without timestamp
 quantization or jitter, so it alone takes the float-sorted reflection order
 and an exactly planar (rms 0) fit; ``stationary`` repeats one mask for
-several periods. The SHA-256 of every file ``run_scenario`` writes with every
-dump kind is pinned here, so a change to either scenario's output bytes is a
-deliberate step: re-record the table and say why.
+several periods. For both, the SHA-256 of every file ``run_scenario`` writes
+with every dump kind is pinned here. ``plane_compare`` is the only one with
+``first_period: sparse``, ``dilation_px: 8`` and a 1024x320 raster; its 127
+dumped files are pinned by one SHA-256 over their sorted names and digests,
+so the table does not grow by a line per file. A change to any of these
+output bytes is a deliberate step: re-record the digest and say why.
 """
 
 import hashlib
@@ -62,3 +65,17 @@ def test_dumped_files_match_digests(tmp_path, name):
     run_scenario(load_scenario(SCENARIOS / f"{name}.yaml"), dump=DUMP_KINDS, out_dir=tmp_path)
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert written == DIGESTS[name]
+
+
+# SHA-256 over (name, NUL, SHA-256 of the bytes) of every dumped file, in name order
+PLANE_COMPARE_DUMPS = (127, "56971d35250cfb93d2cd357a6a7ccaeaf748faf82f05f5cc8eecc05cbe450fb5")
+
+
+def test_plane_compare_dumps_match_digest(tmp_path):
+    run_scenario(load_scenario(SCENARIOS / "plane_compare.yaml"), dump=DUMP_KINDS, out_dir=tmp_path)
+    files = sorted(tmp_path.iterdir())
+    combined = hashlib.sha256()
+    for f in files:
+        combined.update(f.name.encode() + b"\0")
+        combined.update(hashlib.sha256(f.read_bytes()).digest())
+    assert (len(files), combined.hexdigest()) == PLANE_COMPARE_DUMPS

@@ -28,9 +28,15 @@ def plane_script(resolution=(32, 24), duration=100000.0, objects=()):
     return SceneScript(resolution, duration, Background(2.0, 0.5), tuple(objects))
 
 
+def intensity_image(background, resolution):
+    """The background's intensity over the whole frame, as a new array."""
+    w, h = resolution
+    return background._intensity_window((0, h, 0, w))
+
+
 def render_intensity(script, t_us):
     """Per-pixel intensity at ``t_us``: objects painted over the background farthest-first."""
-    intensity = script.background.intensity_image(script.resolution)
+    intensity = intensity_image(script.background, script.resolution)
     for obj in _paint_order(script):
         box = _object_box(obj, t_us, script.resolution)
         if box is not None:
@@ -94,7 +100,7 @@ class TestRenderScene:
         ya, yb = sorted(data.draw(st.tuples(st.integers(0, h), st.integers(0, h)), label="rows"))
         xa, xb = sorted(data.draw(st.tuples(st.integers(0, w), st.integers(0, w)), label="cols"))
         window = background._intensity_window((ya, yb, xa, xb))
-        full = background.intensity_image((w, h))[ya:yb, xa:xb]
+        full = intensity_image(background, (w, h))[ya:yb, xa:xb]
         assert window.dtype == full.dtype == np.float64
         np.testing.assert_array_equal(window, full)
 
