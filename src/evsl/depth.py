@@ -7,6 +7,13 @@ planar targets are scored by total-least-squares plane fitting. Decode and
 back-projection address camera pixels by flat raster index ``y * W + x``
 and split it into row and column in int32. The decode writes validity for
 every occupied pixel, so a pixel that fails a check is written invalid.
+
+Clouds are C-order ``(N, 3)`` arrays, worked on column by column rather
+than through numpy's 3-wide loops over rows. Back-projection writes x, y and
+z straight into their columns. The plane fit sums each column from 0 in row
+order, as ``xyz.mean(axis=0)`` does on a C-order array, and centres each
+column into a C-order array, so BLAS is handed the same scatter product and
+every bit of the fit is the row-wise code's.
 """
 
 from __future__ import annotations
@@ -107,9 +114,14 @@ def depth_to_points(depth_map: DepthMap, geometry: SensorGeometry) -> PointCloud
     flat = np.flatnonzero(depth_map.valid)
     ys, xs = _row_col(flat, cam_w)
     z = np.take(depth_map.depth, flat)
-    x = (xs - cam_w / 2.0) * z / geometry.focal_length_px
-    y = (ys - cam_h / 2.0) * z / geometry.focal_length_px
-    return PointCloud(np.column_stack([x, y, z]))
+    xyz = np.empty((len(flat), 3))
+    xyz[:, 2] = z
+    u = np.empty_like(z)
+    for j, v, c in ((0, xs, cam_w / 2.0), (1, ys, cam_h / 2.0)):
+        np.subtract(v, c, out=u)  # ((v - c) * z) / f, the last step written into its column
+        u *= z
+        np.divide(u, geometry.focal_length_px, out=xyz[:, j])
+    return PointCloud(xyz)
 
 
 def fit_plane(points: PointCloud) -> PlaneFit:
@@ -119,11 +131,14 @@ def fit_plane(points: PointCloud) -> PlaneFit:
     its eigenvalues span more than 1e10 the squared condition number costs digits,
     so the SVD of the centred points gives the normal and rejects collinear points.
     """
-    xyz = points.xyz
+    xyz = np.ascontiguousarray(points.xyz)  # rows the outer loop, as the row-order sums below need
     if len(xyz) < 3:
         raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
-    centroid = xyz.mean(axis=0)
-    centered = xyz - centroid
+    # xyz.mean(axis=0) bit for bit: each column summed from 0 in row order, then divided by N
+    centroid = np.einsum("ij->j", xyz) / len(xyz)
+    centered = np.empty_like(xyz)
+    for j in range(3):
+        np.subtract(xyz[:, j], centroid[j], out=centered[:, j])
     lam, vec = np.linalg.eigh(centered.T @ centered)
     normal = vec[:, 0]
     if not lam[0] >= 1e-10 * lam[2] > 0:

@@ -5,9 +5,11 @@ raster steps and timing noise stay representable; quantization to a camera's
 clock is an explicit step in the projector simulator. Every time window is
 half-open, [t_start, t_end), so consecutive windows partition a stream
 without double-counting boundary events. Frames and time surfaces address
-pixels by flat raster index ``y * W + x``; a time surface holds NaN at the
-pixels without an event. Flat indices are split back into row and column in
-int32, so a sensor, projector or scene holds fewer than 2**31 pixels.
+pixels by flat raster index ``y * W + x``. A time surface starts as NaN and
+takes each event with ``np.fmax.at``, which keeps the number over a NaN, so a
+pixel without an event holds NaN with no second pass over the frame. Flat
+indices are split back into row and column in int32, so a sensor, projector
+or scene holds fewer than 2**31 pixels.
 
 Handing an array to a value type hands it over: the type keeps an array of
 its dtype without copying and marks it read-only, so a later write raises.
@@ -80,10 +82,10 @@ class EventStream:
         if not (t.ndim == 1 and t.shape == x.shape == y.shape == p.shape):
             raise ValueError("event arrays must be 1-D and of equal length")
         if len(t):
-            # written so that a NaN fails: first, or anywhere later through its NaN differences
+            # written so that a NaN fails: first, or anywhere later through a comparison with it
             if not t[0] >= 0.0:
                 raise ValueError("event timestamps must be non-negative")
-            if not np.all(np.diff(t) >= 0.0):
+            if not np.all(t[1:] >= t[:-1]):
                 raise ValueError("event timestamps must be non-decreasing")
             if not np.isfinite(t[-1]):
                 raise ValueError("event timestamps must be finite")
@@ -206,7 +208,7 @@ class DepthMap:
 
     @property
     def valid_count(self) -> int:
-        return int(self.valid.sum())
+        return int(np.count_nonzero(self.valid))
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,9 @@ def make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeS
     if t1 < t0:
         raise ValueError(f"invalid window ({t0}, {t1})")
     w, h = stream.resolution
-    last = np.full(w * h, -np.inf)
+    last = np.full(w * h, np.nan)
     i0, i1 = stream.window_indices(t0, t1)
-    np.maximum.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
-    last[last == -np.inf] = np.nan  # stream timestamps are finite: -inf marks a pixel without events
+    np.fmax.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
     return TimeSurface(stream.resolution, last.reshape(h, w), (float(t0), float(t1)))
 
 

@@ -44,6 +44,10 @@ from .scene import generate_guide_events, render_scene
 class PeriodReport:
     """Per-scan-period metrics; the power proxy is the mask's on-fraction.
 
+    ``valid_depth_pixels`` counts the pixels whose decode is plausible (an
+    event, a decoded row within one of the camera row, positive disparity),
+    not pixels whose depth is verified correct.
+
     ``error`` is set (and ``plane_rms_m`` is None) when the plane fit found
     the reconstruction degenerate; every other metric and the period's dumps
     are kept, and the run continues. Any other failure is raised.
@@ -144,6 +148,9 @@ def run_period(
     Each variant runs mask, scan plan and reflection, then, with the render
     freed, time surface, decode and plane fit. ``guide`` and ``active`` come
     from this period's guide stage, ``prev_rois`` from the previous one's.
+    Each tally must account for every firing and every camera pixel, and the
+    decode's valid count for its map; a tally that does not is a programming
+    error and raises RuntimeError.
     """
     scene = variants[0]
     w0, w1 = window = _window(scene, p)
@@ -153,25 +160,37 @@ def run_period(
         mask = _mask_for_period(scenario, prev_rois)
         plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
         noise = replace(scenario.noise, seed=scenario.seed)
-        scans.append((mask, simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)[0]))
+        reflection, tally = simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)
+        lost = tally["dropped"] + tally["out_of_frame"] + tally["invalid_depth"]
+        if tally["fired"] != tally["emitted"] + lost or len(reflection) != tally["emitted"]:
+            raise RuntimeError(f"period {p}: reflection tally {tally} does not account for its firings "
+                               f"and {len(reflection)} events")
+        scans.append((mask, reflection))
     del proj_depth, plan  # two periods may be in flight: free what the decode does not use
 
     period_s = scene.projector.period_us * 1e-6
     results = []
     for scenario, (mask, reflection) in zip(variants, scans):
-        depth_map, _ = reconstruct_depth(make_time_surface(reflection, window),
-                                         scenario.geometry, scenario.projector, w0)
+        depth_map, tally = reconstruct_depth(make_time_surface(reflection, window),
+                                             scenario.geometry, scenario.projector, w0)
+        w, h = depth_map.resolution
+        valid = tally["valid"]
+        failed = tally["no_event"] + tally["row_mismatch"] + tally["nonpositive_disparity"]
+        if failed + valid != w * h or valid != np.count_nonzero(depth_map.valid):
+            raise RuntimeError(f"period {p}: decode tally {tally} does not account for {w}x{h} pixels "
+                               f"and {depth_map.valid_count} valid")
         plane_rms = error = cloud = None
-        if scenario.evaluate_plane and depth_map.valid_count >= 3:
+        if scenario.evaluate_plane and valid >= 3:
             cloud = depth_to_points(depth_map, scenario.geometry)
             try:
                 plane_rms = fit_plane(cloud).rms
             except DegenerateInputError as exc:  # record the failure and keep scanning
                 error = f"{type(exc).__name__}: {exc}"
+        fraction = mask.fraction
         report = PeriodReport(
-            period=p, active_pixel_fraction=active, mask_fraction=mask.fraction,
+            period=p, active_pixel_fraction=active, mask_fraction=fraction,
             guide_event_rate=len(guide) / period_s, reflection_event_rate=len(reflection) / period_s,
-            valid_depth_pixels=depth_map.valid_count, plane_rms_m=plane_rms, power_proxy=mask.fraction, error=error,
+            valid_depth_pixels=valid, plane_rms_m=plane_rms, power_proxy=fraction, error=error,
         )
         results.append(PeriodResult(report, mask, reflection, depth_map, cloud))
     return results

@@ -79,7 +79,7 @@ class IlluminationMask:
     def fraction(self) -> float:
         """On-pixel count over total pixels; doubles as the power proxy."""
         w, h = self.resolution
-        return float(self.on.sum()) / (w * h)
+        return float(np.count_nonzero(self.on)) / (w * h)
 
 
 @dataclass(frozen=True)
@@ -229,4 +229,4 @@ def active_pixel_fraction(frame: EventFrame, active_threshold: int = 1) -> float
     if active_threshold < 1:
         raise ValueError("active_threshold must be >= 1")
     w, h = frame.resolution
-    return float((frame.counts >= active_threshold).sum()) / (w * h)
+    return float(np.count_nonzero(frame.counts >= active_threshold)) / (w * h)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,11 @@ from evsl.depth import (
     fit_plane,
     reconstruct_depth,
 )
-from evsl.events import DepthMap, EventStream, TimeSurface, make_time_surface
-from evsl.policy import DensePolicy, IlluminationMask, build_mask
+from evsl.events import DepthMap, EventStream, TimeSurface, make_event_frame, make_time_surface
+from evsl.harness import _run_periods, _window, load_scenario
+from evsl.policy import (
+    DensePolicy, EventGuidedPolicy, IlluminationMask, SparsePolicy, active_pixel_fraction, build_mask,
+)
 from evsl.projector import (
     NoiseModel,
     ProjectorModel,
@@ -21,6 +27,10 @@ from evsl.projector import (
     build_scan_plan,
     simulate_reflection_events,
 )
+import test_events
+from test_policy import _summed_active_pixel_fraction, _summed_mask_fraction, _summed_valid_count
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestDecode:
@@ -584,3 +594,85 @@ class TestFitPlaneMatchesOracle:
     @given(plane_clouds())
     def test_property(self, xyz):
         assert _fit_text(fit_plane, xyz) == _fit_text(_oracle_fit_plane, xyz)
+
+
+def _rowwise_fit_plane(points: PointCloud) -> PlaneFit:
+    """The scatter-matrix fit as it was before its column passes:
+    ``xyz.mean(axis=0)`` and a broadcast ``xyz - centroid``."""
+    xyz = points.xyz
+    if len(xyz) < 3:
+        raise DegenerateInputError(f"plane fit needs >= 3 points, got {len(xyz)}")
+    centroid = xyz.mean(axis=0)
+    centered = xyz - centroid
+    lam, vec = np.linalg.eigh(centered.T @ centered)
+    normal = vec[:, 0]
+    if not lam[0] >= 1e-10 * lam[2] > 0:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        if s[0] <= 0 or s[1] <= 1e-12 * s[0]:
+            raise DegenerateInputError("plane fit needs >= 3 non-collinear points")
+        normal = vt[-1]
+    d = float(normal @ centroid)
+    if d < 0 or (d == 0 and normal[np.flatnonzero(normal)[0]] < 0):
+        normal, d = -normal, -d
+    rms = float(np.sqrt(np.mean((centered @ normal) ** 2)))
+    return PlaneFit(tuple(float(v) for v in normal), d, rms)
+
+
+def _fit_bytes(fit, cloud):
+    """The fit's normal, d and rms as bytes, or its verdict on a degenerate cloud."""
+    try:
+        result = fit(cloud)
+    except DegenerateInputError as exc:
+        return str(exc)
+    return np.array([*result.normal, result.d, result.rms]).tobytes()
+
+
+def compare_variants(scenario):
+    """``scenario`` under the dense, sparse and event-guided policies, as ``compare_sampling`` runs it."""
+    guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
+    return [replace(scenario, policy=policy)
+            for policy in (DensePolicy(), SparsePolicy(guided.background_stride), guided)]
+
+
+class TestFitMatchesRowwise:
+    """The column-pass plane fit gives the row-wise fit's normal, d and rms bit for bit."""
+
+    @settings(max_examples=200)
+    @given(plane_clouds())
+    def test_property(self, xyz):
+        cloud = PointCloud(xyz)
+        assert _fit_bytes(fit_plane, cloud) == _fit_bytes(_rowwise_fit_plane, cloud)
+
+    @pytest.mark.parametrize("n", [3, 8191, 8193, 65537, 120_000])
+    def test_large_clouds(self, n):
+        rng = np.random.default_rng(n)
+        xyz = rng.normal(size=(n, 3)) * [3.0, 1.0, 1e-3] + [0.5, -0.2, 2.0]
+        cloud = PointCloud(xyz @ np.linalg.qr(rng.normal(size=(3, 3)))[0])
+        assert _fit_bytes(fit_plane, cloud) == _fit_bytes(_rowwise_fit_plane, cloud)
+
+    def test_any_layout(self):
+        # the centroid is summed in row order whatever the layout: an F-order cloud fits as its C-order copy
+        xyz = np.random.default_rng(3).normal(size=(5000, 3)) * [1.0, 1.0, 1e-2]
+        assert _fit_bytes(fit_plane, PointCloud(np.asfortranarray(xyz))) == _fit_bytes(fit_plane, PointCloud(xyz))
+
+
+class TestBundledPeriodsMatchParentBodies:
+    """Every period of the bundled scenarios under all three policies: the time
+    surface, the cloud, the plane fit and the three counts equal, bit for bit,
+    what the code they replaced gives."""
+
+    @pytest.mark.parametrize("name", ["moving_object", "noiseless_plane", "plane_compare", "stationary"])
+    def test_bundled(self, name):
+        variants = compare_variants(load_scenario(SCENARIOS / f"{name}.yaml"))
+        geometry, periods = variants[0].geometry, variants[0].periods
+        for p, (guide, results) in enumerate(_run_periods(variants, parallel=True)):
+            frame = make_event_frame(guide, _window(variants[0], p))
+            assert active_pixel_fraction(frame) == _summed_active_pixel_fraction(frame)
+            for result in results:
+                test_events.TestSurfaceMatchesParent.check(result.reflection, _window(variants[0], p))
+                assert result.mask.fraction == _summed_mask_fraction(result.mask)
+                assert result.depth.valid_count == _summed_valid_count(result.depth)
+                cloud = depth_to_points(result.depth, geometry)
+                assert_same_bytes(cloud.xyz, _parent_depth_to_points(result.depth, geometry).xyz, "xyz")
+                assert _fit_bytes(fit_plane, cloud) == _fit_bytes(_rowwise_fit_plane, cloud)
+        assert p + 1 == periods

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evsl.depth import PointCloud
@@ -85,6 +85,25 @@ class TestEventStream:
         with pytest.raises(ValueError, match="timestamps"):
             EventStream.from_arrays((4, 4), t, [0] * n, [0] * n, [1] * n)
 
+    @settings(max_examples=100)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, 1e308, np.inf, -np.inf, np.nan, -1.0]),
+                    min_size=1, max_size=7))
+    @example([np.nan, 1.0, 2.0, 3.0])  # NaN first: "non-negative"
+    @example([1.0, 2.0, np.nan, 3.0, 4.0])  # NaN in the middle: "non-decreasing"
+    @example([1.0, 2.0, 3.0, np.nan])  # NaN last: "non-decreasing"
+    @example([1.0, 2.0, 3.0, np.inf])  # inf last: "finite"
+    def test_time_verdict_as_differences_gave(self, values):
+        # comparing neighbours fails where their difference fails: a NaN, and a decrease
+        t = np.array(values)
+        n = len(t)
+        try:
+            EventStream((4, 4), t, [0] * n, [0] * n, [1] * n)
+        except ValueError as exc:
+            got = str(exc).removeprefix("event timestamps must be ")
+        else:
+            got = None
+        assert got == _diff_time_verdict(t)
+
     def test_arrays_read_only(self):
         s = EventStream((4, 4), [1.0], [0], [0], [1])
         with pytest.raises(ValueError):
@@ -107,6 +126,18 @@ class TestEventStream:
     def test_iter_yields_events(self):
         s = EventStream((4, 4), [1.5], [2], [3], [-1])
         assert list(s) == [Event(1.5, 2, 3, -1)]
+
+
+def _diff_time_verdict(t: np.ndarray) -> str | None:
+    """The three timestamp checks as they were with ``np.diff``: the failing one's word, or None."""
+    if not t[0] >= 0.0:
+        return "non-negative"
+    with np.errstate(invalid="ignore"):  # inf - inf
+        if not np.all(np.diff(t) >= 0.0):
+            return "non-decreasing"
+    if not np.isfinite(t[-1]):
+        return "finite"
+    return None
 
 
 # Per value type, constructor arguments whose arrays already have the type's dtypes.
@@ -276,6 +307,21 @@ class TestFrameAndSurfaceMatchOracle:
             assert (got.resolution, got.window) == (want.resolution, want.window)
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    @settings(max_examples=150)
+    @given(windowed_streams())
+    def test_matches_parent_body(self, case):
+        TestSurfaceMatchesParent.check(*case)
+
+    @pytest.mark.parametrize("times", [[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0, 1.0]])
+    def test_signed_zero_ties(self, times):
+        # a tie between 0.0 and -0.0 keeps the later event's sign under fmax.at, as under maximum.at
+        n = len(times)
+        stream = EventStream((2, 1), times, [1] * n, [0] * n, [1] * n)
+        for window in ((0.0, 1.0), (-0.0, 2.0)):
+            TestSurfaceMatchesParent.check(stream, window)
+            got, want = make_time_surface(stream, window).last_t, _oracle_make_time_surface(stream, window).last_t
+            assert got.tobytes() == want.tobytes()
 
 
 def _parent_make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeSurface:

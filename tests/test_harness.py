@@ -4,6 +4,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import evsl
 from evsl import harness
 from evsl.cli import main as cli_main
+from evsl.events import DepthMap, EventStream
 from evsl.projector import SENSOR_PRESETS
 from evsl.harness import (
     DUMP_KINDS,
@@ -252,6 +254,53 @@ class TestRunScenario:
 
         monkeypatch.setattr(harness, "reconstruct_depth", broken)
         with pytest.raises(TypeError, match="broken stage"):
+            run_scenario(tiny_scenario())
+
+    @pytest.mark.parametrize("stage, key, delta, message", [
+        ("simulate_reflection_events", "fired", 1, "reflection tally"),
+        ("simulate_reflection_events", "dropped", -1, "reflection tally"),
+        ("simulate_reflection_events", "emitted", 1, "reflection tally"),
+        ("reconstruct_depth", "no_event", 1, "decode tally"),
+        ("reconstruct_depth", "nonpositive_disparity", -1, "decode tally"),
+        ("reconstruct_depth", "valid", 1, "decode tally"),
+    ])
+    def test_tally_off_by_one_is_raised(self, monkeypatch, stage, key, delta, message):
+        real = getattr(harness, stage)
+
+        def off_by_one(*args, **kwargs):
+            result, tally = real(*args, **kwargs)
+            return result, {**tally, key: tally[key] + delta}
+
+        monkeypatch.setattr(harness, stage, off_by_one)
+        with pytest.raises(RuntimeError, match=message):
+            run_scenario(tiny_scenario(noise=evsl.NoiseModel(seed=0)))
+        with pytest.raises(RuntimeError, match=message):
+            compare_sampling(tiny_scenario(periods=1), parallel=True)
+
+    def test_emitted_tally_must_count_the_stream(self, monkeypatch):
+        # fired and the parts balance, but the stream lost an event the tally still counts as emitted
+        real = harness.simulate_reflection_events
+
+        def one_event_short(*args, **kwargs):
+            stream, tally = real(*args, **kwargs)
+            return EventStream(stream.resolution, stream.t[1:], stream.x[1:], stream.y[1:], stream.p[1:]), tally
+
+        monkeypatch.setattr(harness, "simulate_reflection_events", one_event_short)
+        with pytest.raises(RuntimeError, match="reflection tally"):
+            run_scenario(tiny_scenario())
+
+    def test_valid_tally_must_count_the_map(self, monkeypatch):
+        # the four classes add up to every pixel, but one fewer pixel is valid than the tally says
+        real = harness.reconstruct_depth
+
+        def one_valid_short(*args, **kwargs):
+            depth_map, tally = real(*args, **kwargs)
+            valid = depth_map.valid.copy()
+            valid.flat[np.flatnonzero(valid)[0]] = False
+            return DepthMap(depth_map.resolution, depth_map.depth, valid), tally
+
+        monkeypatch.setattr(harness, "reconstruct_depth", one_valid_short)
+        with pytest.raises(RuntimeError, match="decode tally"):
             run_scenario(tiny_scenario())
 
     def test_period_count_and_indices(self):

@@ -8,10 +8,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from evsl import harness
-from evsl.events import EventFrame, make_event_frame
+from evsl.events import DepthMap, EventFrame, make_event_frame
 from evsl.policy import (
     DensePolicy,
     EventGuidedPolicy,
+    IlluminationMask,
     RoiSet,
     SparsePolicy,
     _MEDIAN_CHUNK,
@@ -537,6 +538,53 @@ class TestActivePixelFraction:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             active_pixel_fraction(frame_of(np.zeros((4, 4), int)), 0)
+
+
+def _summed_mask_fraction(mask: IlluminationMask) -> float:
+    w, h = mask.resolution
+    return float(mask.on.sum()) / (w * h)
+
+
+def _summed_valid_count(depth_map: DepthMap) -> int:
+    return int(depth_map.valid.sum())
+
+
+def _summed_active_pixel_fraction(frame: EventFrame, active_threshold: int = 1) -> float:
+    w, h = frame.resolution
+    return float((frame.counts >= active_threshold).sum()) / (w * h)
+
+
+def count_cases(resolution, density, seed):
+    """A count frame on ``resolution`` whose nonzero pixels are drawn at ``density``, and a mask and a
+    depth map on/valid where the count reaches 1 (so the three counts see the same pixels)."""
+    w, h = resolution
+    rng = np.random.default_rng(seed)
+    counts = np.where(rng.random((h, w)) < density, rng.integers(1, 4, (h, w)), 0)
+    on = counts >= 1
+    return frame_of(counts), IlluminationMask(resolution, on), DepthMap(resolution, np.where(on, 2.0, 0.0), on)
+
+
+class TestCountsMatchSums:
+    """``np.count_nonzero`` gives the ``bool.sum()`` counts, and the fractions the same floats."""
+
+    @settings(max_examples=60)
+    @given(w=st.sampled_from([1, 2, 3, 7, 64, 1024]), h=st.integers(1, 40),
+           density=st.sampled_from([0.0, 0.01, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, w, h, density, seed):
+        self.check(*count_cases((w, h), density, seed))
+
+    @pytest.mark.parametrize("resolution", [(640, 480), (1024, 320)])
+    @pytest.mark.parametrize("density", [0.0, 0.083, 1.0])
+    def test_bundled(self, resolution, density):
+        self.check(*count_cases(resolution, density, 11))
+
+    @staticmethod
+    def check(frame, mask, depth_map):
+        for threshold in (1, 2, 4):
+            got, want = active_pixel_fraction(frame, threshold), _summed_active_pixel_fraction(frame, threshold)
+            assert type(got) is float and got == want
+        assert type(mask.fraction) is float and mask.fraction == _summed_mask_fraction(mask)
+        assert type(depth_map.valid_count) is int and depth_map.valid_count == _summed_valid_count(depth_map)
 
 
 class TestPolicyValidation:
