@@ -1,11 +1,12 @@
 """Event-guided structured-light depth sensing: simulator and analysis tools."""
 
+import types as _types
+
 from .events import (
     DepthMap,
     Event,
     EventFrame,
     EventStream,
-    LogDepthCodec,
     TimeSurface,
     VoxelGrid,
     decode_log_depth,
@@ -72,62 +73,6 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Background",
-    "CheckerTexture",
-    "ConfigError",
-    "DEFAULT_JITTER_ANCHORS",
-    "DegenerateInputError",
-    "DensePolicy",
-    "DepthMap",
-    "Event",
-    "EventFrame",
-    "EventGuidedPolicy",
-    "EventStream",
-    "GuideCameraModel",
-    "IlluminationMask",
-    "LogDepthCodec",
-    "MovingObject",
-    "NoiseModel",
-    "PeriodReport",
-    "PlaneFit",
-    "PointCloud",
-    "Policy",
-    "ProjectorModel",
-    "RoiSet",
-    "ScanPlan",
-    "Scenario",
-    "SceneScript",
-    "SensorGeometry",
-    "SensorPreset",
-    "SENSOR_PRESETS",
-    "SparsePolicy",
-    "TimeSurface",
-    "VoxelGrid",
-    "active_pixel_fraction",
-    "build_mask",
-    "build_scan_plan",
-    "compare_sampling",
-    "decode_log_depth",
-    "decode_projector_indices",
-    "depth_to_points",
-    "detect_roi",
-    "encode_log_depth",
-    "fit_plane",
-    "generate_guide_events",
-    "load_scenario",
-    "make_event_frame",
-    "make_time_surface",
-    "make_voxel_grid",
-    "median_filter_frame",
-    "parse_scenario",
-    "pixel_dwell_time",
-    "raster_event_rate",
-    "reconstruct_depth",
-    "render_scene",
-    "run_scenario",
-    "simulate_reflection_events",
-    "sweep_dwell_time",
-    "sweep_event_rate",
-    "timestamp_jitter_std",
-]
+# every public name imported above; the submodules are package attributes, not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .events import make_event_frame
@@ -25,13 +26,6 @@ from .harness import (
     sweep_event_rate,
 )
 from .policy import active_pixel_fraction
-
-
-def _add_sweep_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--f-min", type=float, default=50.0, help="lowest scan frequency in Hz")
-    sub.add_argument("--f-max", type=float, default=290.0, help="highest scan frequency in Hz")
-    sub.add_argument("--f-step", type=float, default=10.0, help="frequency step in Hz")
-    sub.add_argument("--out", type=Path, default=None, help="CSV output path (default: stdout)")
 
 
 def _frequencies(args) -> list[float]:
@@ -73,21 +67,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[run_args], help="run one scenario and write per-period metrics")
     sim.add_argument("--dump", nargs="+", choices=DUMP_KINDS, default=[],
                      help="artifact kinds to write per period")
+    sim.set_defaults(func=_cmd_simulate)
 
-    for name, help_text in (
-        ("sweep-delta-t", "dense dwell time per sensor preset over a frequency range"),
-        ("sweep-event-rate", "theoretical event rate per sensor preset over a frequency range"),
+    for name, quantity, sweep_fn, header in (
+        ("sweep-delta-t", "dense dwell time", sweep_dwell_time, DWELL_CSV_HEADER),
+        ("sweep-event-rate", "theoretical event rate", sweep_event_rate, RATE_CSV_HEADER),
     ):
-        sweep = sub.add_parser(name, help=help_text)
-        _add_sweep_args(sweep)
+        sweep = sub.add_parser(name, help=f"{quantity} per sensor preset over a frequency range")
+        sweep.add_argument("--f-min", type=float, default=50.0, help="lowest scan frequency in Hz")
+        sweep.add_argument("--f-max", type=float, default=290.0, help="highest scan frequency in Hz")
+        sweep.add_argument("--f-step", type=float, default=10.0, help="frequency step in Hz")
+        sweep.add_argument("--out", type=Path, default=None, help="CSV output path (default: stdout)")
+        sweep.set_defaults(func=partial(_cmd_sweep, sweep_fn, header))
 
-    sub.add_parser("compare-sampling", parents=[run_args], help="dense vs sparse vs event-guided on one scenario")
+    compare = sub.add_parser("compare-sampling", parents=[run_args],
+                             help="dense vs sparse vs event-guided on one scenario")
+    compare.set_defaults(func=_cmd_compare)
 
     active = sub.add_parser("active-pixels", help="active-pixel fraction of an event stream file")
     active.add_argument("events", type=Path, help="event stream text file (t_us,x,y,p)")
     active.add_argument("--threshold", type=int, default=1, help="events per pixel to count as active")
     active.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"), default=None,
                         help="sensor resolution; inferred from the data when omitted")
+    active.set_defaults(func=_cmd_active_pixels)
     return parser
 
 
@@ -106,6 +108,11 @@ def _cmd_simulate(args) -> int:
     print(f"mean mask fraction {mean_fraction:.4f} -> "
           f"{100 * (1 - mean_fraction):.1f}% illumination reduction vs dense")
     print(f"wrote {Path(out_dir) / 'periods.csv'}")
+    return 0
+
+
+def _cmd_sweep(sweep_fn, header, args) -> int:
+    _emit_rows(sweep_fn(frequencies_hz=_frequencies(args)), header, args.out)
     return 0
 
 
@@ -129,26 +136,12 @@ def _cmd_active_pixels(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep-delta-t":
-            _emit_rows(sweep_dwell_time(frequencies_hz=_frequencies(args)), DWELL_CSV_HEADER, args.out)
-            return 0
-        if args.command == "sweep-event-rate":
-            _emit_rows(sweep_event_rate(frequencies_hz=_frequencies(args)), RATE_CSV_HEADER, args.out)
-            return 0
-        if args.command == "compare-sampling":
-            return _cmd_compare(args)
-        if args.command == "active-pixels":
-            return _cmd_active_pixels(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

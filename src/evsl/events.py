@@ -39,6 +39,16 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
+def _take_frames(value, **dtypes) -> None:
+    """Take over each named field of ``value`` as a read-only ``dtype`` array of shape (H, W)."""
+    w, h = value.resolution
+    for name, dtype in dtypes.items():
+        a = _frozen(getattr(value, name), dtype)
+        if a.shape != (h, w):
+            raise ValueError(f"{name} shape must be (height, width)")
+        object.__setattr__(value, name, a)
+
+
 def _check_resolution(resolution: tuple[int, int], name: str = "resolution") -> None:
     """Reject a side below 1, and 2**31 pixels or more: flat raster indices are split in int32."""
     w, h = resolution
@@ -143,10 +153,7 @@ class EventFrame:
     window: tuple[float, float]
 
     def __post_init__(self):
-        w, h = self.resolution
-        object.__setattr__(self, "counts", _frozen(self.counts, np.int64))
-        if self.counts.shape != (h, w):
-            raise ValueError("counts shape must be (height, width)")
+        _take_frames(self, counts=np.int64)
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,7 @@ class TimeSurface:
     window: tuple[float, float]
 
     def __post_init__(self):
-        w, h = self.resolution
-        object.__setattr__(self, "last_t", _frozen(self.last_t, np.float64))
-        if self.last_t.shape != (h, w):
-            raise ValueError("last_t shape must be (height, width)")
+        _take_frames(self, last_t=np.float64)
 
     @property
     def occupied(self) -> np.ndarray:
@@ -195,11 +199,7 @@ class DepthMap:
     valid: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        w, h = self.resolution
-        for name, dtype in (("depth", np.float64), ("valid", bool)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if self.depth.shape != (h, w) or self.valid.shape != (h, w):
-            raise ValueError("depth/valid shape must be (height, width)")
+        _take_frames(self, depth=np.float64, valid=bool)
 
     @classmethod
     def constant(cls, resolution: tuple[int, int], depth_m: float) -> "DepthMap":
@@ -211,43 +211,30 @@ class DepthMap:
         return int(np.count_nonzero(self.valid))
 
 
-@dataclass(frozen=True)
-class LogDepthCodec:
-    """Normalized log-depth mapping between metric depth and [0, 1]-ish values.
-
-    A depth d encodes to log(d / d_max) / alpha + 1, so d == d_max maps to
-    exactly 1 and d == d_max * exp(-alpha) maps to 0.
-    """
-
-    alpha: float = 5.7
-    d_max: float = 1000.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.d_max <= 0:
-            raise ValueError("alpha and d_max must be positive")
+def _window_pixels(stream: EventStream, window: tuple[float, float]):
+    """Flat ``y * W + x`` indices and timestamps (a view) of the events in [t_start, t_end), and the float window."""
+    t0, t1 = window
+    if t1 < t0:
+        raise ValueError(f"invalid window ({t0}, {t1})")
+    i0, i1 = stream.window_indices(t0, t1)
+    flat = stream.y[i0:i1].astype(np.intp) * stream.resolution[0] + stream.x[i0:i1]
+    return flat, stream.t[i0:i1], (float(t0), float(t1))
 
 
 def make_event_frame(stream: EventStream, window: tuple[float, float]) -> EventFrame:
     """Count events per pixel over [t_start, t_end)."""
-    t0, t1 = window
-    if t1 < t0:
-        raise ValueError(f"invalid window ({t0}, {t1})")
     w, h = stream.resolution
-    i0, i1 = stream.window_indices(t0, t1)
-    counts = np.bincount(stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], minlength=w * h).reshape(h, w)
-    return EventFrame(stream.resolution, counts, (float(t0), float(t1)))
+    flat, _, window = _window_pixels(stream, window)
+    return EventFrame(stream.resolution, np.bincount(flat, minlength=w * h).reshape(h, w), window)
 
 
 def make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeSurface:
     """Keep, per pixel, the latest event timestamp within [t_start, t_end)."""
-    t0, t1 = window
-    if t1 < t0:
-        raise ValueError(f"invalid window ({t0}, {t1})")
     w, h = stream.resolution
+    flat, t, window = _window_pixels(stream, window)
     last = np.full(w * h, np.nan)
-    i0, i1 = stream.window_indices(t0, t1)
-    np.fmax.at(last, stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1], stream.t[i0:i1])
-    return TimeSurface(stream.resolution, last.reshape(h, w), (float(t0), float(t1)))
+    np.fmax.at(last, flat, t)
+    return TimeSurface(stream.resolution, last.reshape(h, w), window)
 
 
 def make_voxel_grid(stream: EventStream, window: tuple[float, float], bins: int = 5) -> VoxelGrid:
@@ -277,23 +264,28 @@ def make_voxel_grid(stream: EventStream, window: tuple[float, float], bins: int 
     return VoxelGrid(int(bins), values, (float(t0), float(t0 + span)))
 
 
-def encode_log_depth(depth_map: DepthMap, codec: LogDepthCodec = LogDepthCodec()) -> np.ndarray:
-    """Encode metric depth to the normalized log scale; invalid pixels become NaN."""
+# The fixed log-depth encoding: alpha and d_max (meters).
+_LOG_DEPTH_ALPHA = 5.7
+_LOG_DEPTH_D_MAX_M = 1000.0
+
+
+def encode_log_depth(depth_map: DepthMap) -> np.ndarray:
+    """Encode metric depth d to log(d / 1000 m) / 5.7 + 1 (alpha 5.7, d_max 1000 m); invalid pixels become NaN."""
     d = depth_map.depth
     valid = depth_map.valid
-    if np.any(valid & ~(d > 0)):
-        raise ValueError("valid pixels must have strictly positive depth")
+    if np.any(valid & ~((d > 0) & (d < np.inf))):
+        raise ValueError("valid pixels must have strictly positive, finite depth")
     out = np.full(d.shape, np.nan)
-    dv = d[valid]
-    out[valid] = np.log(dv / codec.d_max) / codec.alpha + 1.0
+    out[valid] = np.log(d[valid] / _LOG_DEPTH_D_MAX_M) / _LOG_DEPTH_ALPHA + 1.0
     return out
 
 
-def decode_log_depth(values: np.ndarray, codec: LogDepthCodec = LogDepthCodec()) -> DepthMap:
-    """Invert :func:`encode_log_depth`; non-finite entries decode to invalid pixels."""
+def decode_log_depth(values: np.ndarray) -> DepthMap:
+    """Decode v to d = 1000 m * exp(5.7 * (v - 1)); a pixel is valid only where d is finite and positive."""
     values = np.asarray(values, dtype=np.float64)
-    valid = np.isfinite(values)
-    depth = np.zeros(values.shape)
-    depth[valid] = codec.d_max * np.exp(codec.alpha * (values[valid] - 1.0))
+    with np.errstate(over="ignore"):
+        depth = _LOG_DEPTH_D_MAX_M * np.exp(_LOG_DEPTH_ALPHA * (values - 1.0))
+    valid = (depth > 0) & (depth < np.inf)
+    depth[~valid] = 0.0
     h, w = values.shape
     return DepthMap((w, h), depth, valid)

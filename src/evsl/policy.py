@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import EventFrame, _frozen, _row_col
+from .events import EventFrame, _row_col, _take_frames
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,7 @@ class IlluminationMask:
     on: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        w, h = self.resolution
-        object.__setattr__(self, "on", _frozen(self.on, bool))
-        if self.on.shape != (h, w):
-            raise ValueError("mask shape must be (height, width)")
+        _take_frames(self, on=bool)
 
     @property
     def fraction(self) -> float:

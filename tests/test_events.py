@@ -11,7 +11,6 @@ from evsl.events import (
     Event,
     EventFrame,
     EventStream,
-    LogDepthCodec,
     TimeSurface,
     VoxelGrid,
     decode_log_depth,
@@ -168,6 +167,21 @@ def test_value_types_take_arrays_over(cls):
         assert np.shares_memory(getattr(value, name), a), name
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+FRAME_FIELDS = [(EventFrame, "counts"), (TimeSurface, "last_t"), (DepthMap, "depth"), (DepthMap, "valid"),
+                (IlluminationMask, "on")]
+
+
+@pytest.mark.parametrize("cls, field", FRAME_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in FRAME_FIELDS])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2), (2, 3, 1), (6,)])
+def test_frame_types_reject_other_shapes(cls, field, shape):
+    # each (H, W) array of a frame type must match its (W, H) resolution, and the error names the field
+    kwargs = {name: a.copy() if isinstance(a, np.ndarray) else a for name, a in HANDED_OVER[cls].items()}
+    cls(**kwargs)
+    kwargs[field] = np.zeros(shape, kwargs[field].dtype)
+    with pytest.raises(ValueError, match=rf"^{field} shape must be \(height, width\)$"):
+        cls(**kwargs)
 
 
 def test_point_cloud_rejects_other_shapes():
@@ -467,9 +481,28 @@ class TestLogDepthCodec:
         with pytest.raises(ValueError, match="positive"):
             encode_log_depth(dm)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_valid_depth_rejected(self, bad):
+        dm = DepthMap((2, 1), [[bad, 5.0]], [[True, True]])
+        with pytest.raises(ValueError, match="strictly positive, finite"):
+            encode_log_depth(dm)
+
+    def test_nonfinite_invalid_depth_encodes_to_marker(self):
+        dm = DepthMap((2, 1), [[np.inf, 5.0]], [[False, True]])
+        assert np.isnan(encode_log_depth(dm)[0, 0])
+
+    def test_out_of_range_values_decode_invalid(self):
+        # -1000 underflows to depth 0 and 1000 overflows to inf: neither is a valid depth, and no
+        # overflow warning escapes (warnings are errors under this suite)
+        values = np.array([[-1000.0, 1000.0, np.inf, -np.inf, np.nan, 1e308, 1.0]])
+        out = decode_log_depth(values)
+        assert out.valid.tolist() == [[False] * 6 + [True]]
+        assert out.depth.tolist() == [[0.0] * 6 + [1000.0]]
+        back = encode_log_depth(out)  # a decoded map keeps DepthMap's invariant, so it encodes again
+        assert np.isnan(back[0, :6]).all() and back[0, 6] == 1.0
+
     def test_decode_points(self):
-        codec = LogDepthCodec()
-        out = decode_log_depth(np.array([[1.0, 0.0]]), codec)
+        out = decode_log_depth(np.array([[1.0, 0.0]]))
         assert out.depth[0, 0] == pytest.approx(1000.0)
         assert out.depth[0, 1] == pytest.approx(1000.0 * math.exp(-5.7), rel=1e-12)
         assert out.depth[0, 1] == pytest.approx(3.3460, abs=5e-5)
@@ -486,9 +519,3 @@ class TestLogDepthCodec:
         dm = DepthMap((500, 1), d[None, :], np.ones((1, 500), bool))
         enc = encode_log_depth(dm)[0]
         assert np.all(np.diff(enc) > 0)
-
-    def test_codec_validation(self):
-        with pytest.raises(ValueError):
-            LogDepthCodec(alpha=0.0)
-        with pytest.raises(ValueError):
-            LogDepthCodec(d_max=-1.0)
