@@ -4,11 +4,13 @@ A section is a ``(build, fields)`` pair: ``fields`` maps each accepted key to
 a ``(check, default)`` row (``_REQUIRED`` marks a key without a default), and
 ``build`` receives the checked values as keyword arguments. A check takes the
 field path and the value (the default when the key is absent) and returns the
-value to build with. Errors read ``<field path>: <problem>``.
+value to build with; its errors read ``<field path>: <problem>``. Bounds are
+the built value type's, read as ``<section path>: <its message>``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -42,14 +44,18 @@ class Scenario:
     def __post_init__(self):
         if self.geometry.proj_resolution != self.projector.resolution:
             raise ConfigError(f"geometry.proj_resolution: differs from the projector's {self.projector.resolution}")
-        if self.periods < 1:
-            raise ConfigError("run.periods: must be >= 1")
+        _check_run(self.periods, self.seed)
         needed = self.periods * self.projector.period_us
         if self.script.duration_us + 1e-6 < needed:
-            raise ConfigError(
-                f"scene.duration_us: {self.script.duration_us} is shorter than "
-                f"{self.periods} scan periods ({needed:.3f} us)"
-            )
+            raise ConfigError(f"scene.duration_us: {self.script.duration_us} is shorter than "
+                              f"{self.periods} scan periods ({needed:.3f} us)")
+
+
+def _check_run(periods: int, seed: int) -> None:
+    """The bounds of ``Scenario``'s run fields, worded as the run section's keys."""
+    for key, value, least in (("periods", periods, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"run.{key}: must be at least {least}")
 
 
 _REQUIRED = object()
@@ -72,8 +78,6 @@ def _read(spec, path: str, mapping):
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     try:
         return build(**values)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -83,36 +87,20 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)  # not .nan or .inf
 
 
-def _number(minimum, exclusive=False, maximum=None):
+def _scalar(is_kind, expected, convert):
     def check(path, value):
-        if not _is_number(value):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
-        if value <= minimum if exclusive else value < minimum:
-            raise ConfigError(f"{path}: must be {'greater than' if exclusive else 'at least'} {minimum}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{path}: must be at most {maximum}")
-        return value
+        if not is_kind(value):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return convert(value)
     return check
 
 
-def _integer(minimum):
-    def check(path, value):
-        if not _is_int(value):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{path}: must be at least {minimum}")
-        return value
-    return check
-
-
-def _boolean(path, value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
+_NUMBER = _scalar(_is_number, "a number", float)
+_INTEGER = _scalar(_is_int, "an integer", int)
+_BOOLEAN = _scalar(lambda value: isinstance(value, bool), "true/false", bool)
 
 
 def _choice(*choices):
@@ -147,8 +135,8 @@ def _rect(path, value):
     if not isinstance(value, list) or len(value) != 4:
         raise ConfigError(f"{path}: expected [x0, y0, width, height]")
     x0, y0, w, h = value
-    if not (_is_number(x0) and _is_number(y0) and _is_int(w) and _is_int(h) and w >= 1 and h >= 1):
-        raise ConfigError(f"{path}: expected numbers x0, y0 and integers width, height >= 1, got {value!r}")
+    if not (_is_number(x0) and _is_number(y0) and _is_int(w) and _is_int(h)):
+        raise ConfigError(f"{path}: expected numbers x0, y0 and integers width, height, got {value!r}")
     return float(x0), float(y0), w, h
 
 
@@ -188,21 +176,17 @@ def _policy(path, value):
     return _section(spec)(path, value)
 
 
-_POSITIVE = _number(0, exclusive=True)
-_NON_NEGATIVE = _number(0)
-_UNIT = _number(0, exclusive=True, maximum=1.0)  # intensities lie in (0, 1]
-
 _TEXTURE = (lambda kind, **values: CheckerTexture(**values), {
     "kind": (_choice("checker"), _REQUIRED),
-    "tile_px": (_integer(1), 16),
-    "low": (_UNIT, 0.4),
-    "high": (_UNIT, 0.6),
+    "tile_px": (_INTEGER, 16),
+    "low": (_NUMBER, 0.4),
+    "high": (_NUMBER, 0.6),
 })
 
 _BACKGROUND = (lambda texture, **values: Background(checker=texture, **values), {
     "texture": (_section(_TEXTURE, absent=None), None),
-    "depth_m": (_POSITIVE, _REQUIRED),
-    "intensity": (_UNIT, 0.5),
+    "depth_m": (_NUMBER, _REQUIRED),
+    "intensity": (_NUMBER, 0.5),
 })
 
 _OBJECT = (
@@ -210,27 +194,26 @@ _OBJECT = (
     {
         "rect_px": (_rect, _REQUIRED),
         "velocity_px_per_us": (_pair(integer=False), [0, 0]),
-        "depth_m": (_POSITIVE, _REQUIRED),
-        "intensity": (_UNIT, 0.9),
+        "depth_m": (_NUMBER, _REQUIRED),
+        "intensity": (_NUMBER, 0.9),
     },
 )
 
 _SCENE_FIELDS = {
     "resolution": (_pair(integer=True), _REQUIRED),
-    "duration_us": (_NON_NEGATIVE, _REQUIRED),  # parse_scenario supplies run.periods scan periods
     "background": (_section(_BACKGROUND), None),
     "objects": (_list_of(partial(_read, _OBJECT)), []),
 }
 
 _POLICIES = {
     "dense": (DensePolicy, {}),
-    "sparse": (SparsePolicy, {"stride": (_integer(1), 16)}),
+    "sparse": (SparsePolicy, {"stride": (_INTEGER, 16)}),
     "event_guided": (EventGuidedPolicy, {
-        "median_kernel_px": (_integer(1), 3),
-        "active_threshold": (_integer(1), 1),
-        "min_area_px": (_integer(1), 4),
-        "dilation_px": (_integer(0), 4),
-        "background_stride": (_integer(1), 16),
+        "median_kernel_px": (_INTEGER, 3),
+        "active_threshold": (_INTEGER, 1),
+        "min_area_px": (_INTEGER, 4),
+        "dilation_px": (_INTEGER, 4),
+        "background_stride": (_INTEGER, 16),
         "first_period": (_choice("dense", "sparse"), "dense"),
     }),
 }
@@ -238,30 +221,28 @@ _POLICY_KINDS = tuple(_POLICIES)  # compared by ==: a YAML list or mapping is no
 
 _SCENARIO = (dict, {
     "run": (_section((dict, {
-        "periods": (_integer(1), 1),
-        "seed": (_integer(0), 0),
-        "evaluate_plane": (_boolean, True),
+        "periods": (_INTEGER, 1),
+        "seed": (_INTEGER, 0),
+        "evaluate_plane": (_BOOLEAN, True),
         "out_dir": (_path, None),
     })), None),
-    "projector": (_section((dict, {
-        "scan_frequency_hz": (_POSITIVE, 60.0),
-    })), None),
+    "projector": (_section((dict, {"scan_frequency_hz": (_NUMBER, 60.0)})), None),
     "geometry": (_section((SensorGeometry, {
         "cam_resolution": (_pair(integer=True), _REQUIRED),
         "proj_resolution": (_pair(integer=True), _REQUIRED),
-        "focal_length_px": (_POSITIVE, _REQUIRED),
-        "baseline_m": (_POSITIVE, 0.04),
+        "focal_length_px": (_NUMBER, _REQUIRED),
+        "baseline_m": (_NUMBER, 0.04),
     })), None),
     "guide_camera": (_section((GuideCameraModel, {
-        "contrast_threshold": (_POSITIVE, 0.3),
-        "render_rate_hz": (_POSITIVE, 1000.0),
-        "noise_rate_hz": (_NON_NEGATIVE, 0.0),
+        "contrast_threshold": (_NUMBER, 0.3),
+        "render_rate_hz": (_NUMBER, 1000.0),
+        "noise_rate_hz": (_NUMBER, 0.0),
     }), absent=GuideCameraModel()), None),
     "noise": (_section((NoiseModel, {
-        "latency_us": (_NON_NEGATIVE, 0.0),
+        "latency_us": (_NUMBER, 0.0),
         "jitter_anchors": (_list_of(_anchor, absent=DEFAULT_JITTER_ANCHORS), None),
-        "drop_probability": (_NON_NEGATIVE, 0.0),
-        "quantization_us": (_NON_NEGATIVE, 1.0),
+        "drop_probability": (_NUMBER, 0.0),
+        "quantization_us": (_NUMBER, 1.0),
     }), absent=NoiseModel()), None),
     "policy": (_policy, None),
     "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration default needs run and projector
@@ -271,8 +252,12 @@ _SCENARIO = (dict, {
 def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     sections = _read(_SCENARIO, "", mapping)
     run, geometry = sections["run"], sections["geometry"]
-    projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
-    duration = (_NON_NEGATIVE, run["periods"] * projector.period_us)
+    _check_run(run["periods"], run["seed"])  # before periods sets the scene's default duration
+    try:
+        projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
+    except ValueError as exc:
+        raise ConfigError(f"projector: {exc}") from None
+    duration = (_NUMBER, run["periods"] * projector.period_us)  # the default is run.periods scan periods
     script = _section((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}))("scene", sections["scene"])
     return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
                     guide_camera=sections["guide_camera"], name=name, **run)

@@ -84,23 +84,25 @@ class EventStream:
     def __post_init__(self):
         _check_resolution(self.resolution)
         w, h = self.resolution
-        if not np.all(np.abs(np.asarray(self.p)) == 1):  # before the int8 cast, which wraps 257 to 1
+        # p, x and y are checked as given: the casts below would wrap 257 to 1 and 2**32 + 3 to 3.
+        # Each check is written so that a NaN fails, directly or through a comparison with it.
+        t, x, y, p = (np.asarray(getattr(self, name)) for name in "txyp")
+        if not np.all(np.abs(p) == 1):
             raise ValueError("polarity must be -1 or +1")
-        for name, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32), ("p", np.int8)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        t, x, y, p = self.t, self.x, self.y, self.p
         if not (t.ndim == 1 and t.shape == x.shape == y.shape == p.shape):
             raise ValueError("event arrays must be 1-D and of equal length")
+        if len(t) and not (x.min() >= 0 and x.max() < w and y.min() >= 0 and y.max() < h):
+            raise ValueError("event coordinates outside resolution")
+        for name, a, dtype in (("t", t, np.float64), ("x", x, np.int32), ("y", y, np.int32), ("p", p, np.int8)):
+            object.__setattr__(self, name, _frozen(a, dtype))
+        t = self.t
         if len(t):
-            # written so that a NaN fails: first, or anywhere later through a comparison with it
             if not t[0] >= 0.0:
                 raise ValueError("event timestamps must be non-negative")
             if not np.all(t[1:] >= t[:-1]):
                 raise ValueError("event timestamps must be non-decreasing")
             if not np.isfinite(t[-1]):
                 raise ValueError("event timestamps must be finite")
-            if x.min() < 0 or x.max() >= w or y.min() < 0 or y.max() >= h:
-                raise ValueError("event coordinates outside resolution")
         object.__setattr__(self, "resolution", (int(w), int(h)))
 
     @classmethod

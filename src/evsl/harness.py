@@ -159,8 +159,8 @@ def run_period(
     for scenario in variants:
         mask = _mask_for_period(scenario, prev_rois)
         plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
-        noise = replace(scenario.noise, seed=scenario.seed)
-        reflection, tally = simulate_reflection_events(plan, proj_depth, scenario.geometry, noise, sequence=p)
+        reflection, tally = simulate_reflection_events(plan, proj_depth, scenario.geometry, scenario.noise,
+                                                       sequence=p, seed=scenario.seed)
         lost = tally["dropped"] + tally["out_of_frame"] + tally["invalid_depth"]
         if tally["fired"] != tally["emitted"] + lost or len(reflection) != tally["emitted"]:
             raise RuntimeError(f"period {p}: reflection tally {tally} does not account for its firings "

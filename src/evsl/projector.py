@@ -112,7 +112,6 @@ class NoiseModel:
     jitter_anchors: tuple[tuple[float, float], ...] = DEFAULT_JITTER_ANCHORS
     drop_probability: float = 0.0
     quantization_us: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         anchors = tuple((float(r), float(s)) for r, s in self.jitter_anchors)
@@ -249,6 +248,7 @@ def simulate_reflection_events(
     geometry: SensorGeometry,
     noise: NoiseModel,
     sequence: int = 0,
+    seed: int = 0,
 ) -> tuple[EventStream, dict[str, int]]:
     """Simulate the reflection camera's events for one scan plan.
 
@@ -257,8 +257,9 @@ def simulate_reflection_events(
     col - f * b / Z (nearest pixel, same row) and produces one positive event
     at fire time + latency + jitter, optionally dropped and quantized.
     Firings that leave the camera frame or hit invalid depth are discarded
-    and counted in the returned tally. ``sequence`` keys the noise draws so
-    distinct scan periods get independent noise under one seed.
+    and counted in the returned tally. ``seed`` and ``sequence`` key the noise
+    draws: a run passes its scenario's seed and the period index, so distinct
+    scan periods get independent noise under one seed.
 
     Noise is drawn only for firings that land in frame. That is exact: each
     draw is keyed by raster index, so a firing's jitter and drop do not depend
@@ -297,7 +298,7 @@ def simulate_reflection_events(
     # numpy elides the temporary: sigma scales the normals in their own array.
     sigma = timestamp_jitter_std(noise, plan.mean_event_rate)  # 0 without jitter anchors
     if sigma > 0 or noise.drop_probability > 0:
-        h = _keyed_hash(noise.seed, sequence, plan.k[landed])  # one hash for the jitter and the drop draws
+        h = _keyed_hash(seed, sequence, plan.k[landed])  # one hash for the jitter and the drop draws
         if sigma > 0:
             t += sigma * _keyed_normals(h)
         if noise.drop_probability > 0:

@@ -391,6 +391,27 @@ def outcome(parse, mapping):
         return type(exc), str(exc)
 
 
+# The value type that states each bound the oracle checked outside the run
+# section, by section path: built with the faulted field and valid others.
+BOUND_OWNERS = {
+    "scene": lambda **field: SceneScript((8, 8), background=Background(1.0), **field),
+    "scene.background": lambda **field: Background(**{"depth_m": 1.0, **field}),
+    "scene.background.texture": CheckerTexture,
+    "scene.objects[0]": lambda **field: MovingObject(0, 0, 1, 1, **field),
+    "projector": lambda scan_frequency_hz: ProjectorModel((8, 8), scan_frequency_hz),
+    "geometry": lambda **field: SensorGeometry((8, 8), (8, 8), **{"focal_length_px": 1.0, **field}),
+    "guide_camera": GuideCameraModel,
+    "noise": NoiseModel,
+    "policy": lambda **field: (SparsePolicy if "stride" in field else EventGuidedPolicy)(**field),
+}
+
+
+def value_at(mapping, path: str):
+    for step in re.findall(r"[^.\[\]]+", path):
+        mapping = mapping[int(step)] if isinstance(mapping, list) else mapping[step]
+    return mapping
+
+
 def with_message_changes(mapping, outcome):
     """The oracle's outcome with the deliberate message changes applied.
 
@@ -401,6 +422,8 @@ def with_message_changes(mapping, outcome):
       entry is not; the oracle read it as an empty mapping too.
     - ``policy.grid`` is gone: a sparse policy that sets it fails on the
       unknown key where the oracle built the scenario or checked the value.
+    - A bound fault reads ``<section path>: <the message the section's value
+      type raises for that value>``; the parser checks no bound itself.
     """
     policy = mapping.get("policy")
     if isinstance(policy, dict) and policy.get("kind") == "sparse" and "grid" in policy:
@@ -410,6 +433,12 @@ def with_message_changes(mapping, outcome):
         return outcome
     kind, message = outcome
     message = re.sub(r"^policy\.(dense|sparse|event_guided): ", "policy: ", message)
+    bound = re.fullmatch(r"(.+)\.(\w+): must be (at least|greater than|at most) \S+", message)
+    if bound and bound[1] in BOUND_OWNERS:
+        try:
+            BOUND_OWNERS[bound[1]](**{bound[2]: value_at(mapping, f"{bound[1]}.{bound[2]}")})
+        except ValueError as exc:
+            message = f"{bound[1]}: {exc}"
     if mapping.get("scene", REMOVED) is None and message == "scene.resolution: missing required key":
         message = "scene: missing required section"
     if message == "scene.objects[0].rect_px: missing required key" and mapping["scene"]["objects"][0] is None:

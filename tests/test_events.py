@@ -60,6 +60,18 @@ class TestEventStream:
         with pytest.raises(ValueError, match="polarity"):
             EventStream((4, 4), t, np.zeros(len(p)), np.zeros(len(p)), p)
 
+    @pytest.mark.parametrize("x, y", [
+        (np.array([2**32 + 3, 5], dtype=np.int64), [1, 2]),
+        (np.array([-2**32, 5], dtype=np.int64), [1, 2]),
+        ([3, 5], np.array([1, 2**32 + 2], dtype=np.int64)),
+        ([np.nan, 5.0], [1, 2]),
+        ([3.0, 5.0], [1.0, np.nan]),
+    ])
+    def test_rejects_coordinates_the_int32_cast_would_wrap(self, x, y):
+        # 2**32 + 3 wraps to 3 and -2**32 to 0 in int32, so check before the cast; a NaN fails too
+        with pytest.raises(ValueError, match="coordinates outside resolution"):
+            EventStream((640, 480), [1.0, 2.0], x, y, [1, 1])
+
     def test_float_unit_polarity_accepted(self):
         s = EventStream((4, 4), [0.0, 1.0], [0, 1], [0, 1], np.array([1.0, -1.0]))
         assert s.p.dtype == np.int8 and list(s.p) == [1, -1]

@@ -105,7 +105,7 @@ def config_with(path, value):
     return mapping
 
 
-RECT_MESSAGE = "scene.objects[0].rect_px: expected numbers x0, y0 and integers width, height >= 1, got "
+RECT_MESSAGE = "scene.objects[0].rect_px: expected numbers x0, y0 and integers width, height, got "
 
 
 class TestScenarioConfig:
@@ -127,7 +127,7 @@ class TestScenarioConfig:
             })
 
     def test_bad_value_reports_path(self):
-        with pytest.raises(ConfigError, match=r"geometry\.focal_length_px"):
+        with pytest.raises(ConfigError, match=r"^geometry: focal_length_px must be positive$"):
             parse_scenario({
                 "scene": {"resolution": [8, 8], "background": {"depth_m": 2.0}},
                 "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": -1.0},
@@ -159,7 +159,7 @@ class TestScenarioConfig:
         (("scene", "objects"), None, "scene.objects: expected a list, got None"),
         (("scene", "objects", 0, "rect_px"), ["a", 1, 2, 3], RECT_MESSAGE + "['a', 1, 2, 3]"),
         (("scene", "objects", 0, "rect_px"), [None, 1, 2, 3], RECT_MESSAGE + "[None, 1, 2, 3]"),
-        (("scene", "objects", 0, "rect_px"), [1, 1, 0, 3], RECT_MESSAGE + "[1, 1, 0, 3]"),
+        (("scene", "objects", 0, "rect_px"), [1, 1, 0, 3], "scene.objects[0]: object width/height must be >= 1"),
         (("scene", "objects", 0, "rect_px"), [1, 1, 2.7, 3], RECT_MESSAGE + "[1, 1, 2.7, 3]"),
         (("scene", "objects", 0, "rect_px"), [1, 1, 2], "scene.objects[0].rect_px: expected [x0, y0, width, height]"),
         (("geometry", "cam_resolution"), [0, 8], "geometry: invalid cam_resolution (0, 8)"),
@@ -167,10 +167,10 @@ class TestScenarioConfig:
         (("geometry", "cam_resolution"), [True, 48], "geometry.cam_resolution: expected integer pair, got [True, 48]"),
         (("scene", "resolution"), [0, 8], "scene: invalid resolution (0, 8)"),
         (("noise", "jitter_anchors"), [["a", 1]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
-        (("noise", "latency_us"), -1, "noise.latency_us: must be at least 0"),
-        (("policy",), {"kind": "sparse", "stride": 0}, "policy.stride: must be at least 1"),
+        (("noise", "latency_us"), -1, "noise: latency_us must be non-negative"),
+        (("policy",), {"kind": "sparse", "stride": 0}, "policy: stride must be >= 1"),
         (("policy",), {"kind": "sparse", "grid": True}, "unknown key(s): policy.grid"),
-        (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy.dilation_px: must be at least 0"),
+        (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy: dilation_px must be >= 0"),
         (("policy",), {"kind": "event_guided", "median_kernel_px": 2},
          "policy: median_kernel_px must be odd and >= 1"),
         (("scene", "objects", 0), None, "scene.objects[0]: expected a mapping"),
@@ -184,6 +184,39 @@ class TestScenarioConfig:
             parse_scenario(config_with(path, value))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path, message", [
+        (("projector", "scan_frequency_hz"), "projector.scan_frequency_hz: expected a number, got {!r}"),
+        (("geometry", "focal_length_px"), "geometry.focal_length_px: expected a number, got {!r}"),
+        (("guide_camera",), "guide_camera.contrast_threshold: expected a number, got {!r}"),
+        (("noise", "drop_probability"), "noise.drop_probability: expected a number, got {!r}"),
+        (("scene", "duration_us"), "scene.duration_us: expected a number, got {!r}"),
+        (("scene", "background", "depth_m"), "scene.background.depth_m: expected a number, got {!r}"),
+        (("scene", "background", "texture"), "scene.background.texture.low: expected a number, got {!r}"),
+        (("scene", "objects", 0, "depth_m"), "scene.objects[0].depth_m: expected a number, got {!r}"),
+        (("scene", "objects", 0, "velocity_px_per_us"),
+         "scene.objects[0].velocity_px_per_us: expected numeric pair, got [{!r}, 0.0]"),
+        (("scene", "objects", 0, "rect_px"), RECT_MESSAGE + "[{!r}, 1, 2, 3]"),
+        (("noise", "jitter_anchors"), "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
+    ])
+    def test_non_finite_number_names_field(self, path, message, value):
+        entry = {
+            "guide_camera": {"contrast_threshold": value},
+            "texture": {"kind": "checker", "low": value},
+            "velocity_px_per_us": [value, 0.0],
+            "rect_px": [value, 1, 2, 3],
+            "jitter_anchors": [[value, 1.0]],
+        }.get(path[-1], value)
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(config_with(path, entry))
+        assert str(info.value) == message.format(value)
+
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        path = scenario_yaml(tmp_path)
+        path.write_text(path.read_text() + "guide_camera:\n  render_rate_hz: .inf\n")
+        assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: guide_camera.render_rate_hz: expected a number, got inf\n"
+
     def test_projector_resolution_held_once(self):
         sc = tiny_scenario()
         message = r"^geometry\.proj_resolution: differs from the projector's \(32, 24\)$"
@@ -191,6 +224,13 @@ class TestScenarioConfig:
             replace(sc, projector=evsl.ProjectorModel((32, 24), 60.0))
         with pytest.raises(ConfigError, match="geometry.proj_resolution"):
             replace(sc, geometry=replace(sc.geometry, proj_resolution=(32, 24)))
+
+    def test_scenario_owns_run_bounds(self):
+        sc = tiny_scenario()
+        with pytest.raises(ConfigError, match=r"^run\.seed: must be at least 0$"):
+            replace(sc, seed=-1)
+        with pytest.raises(ConfigError, match=r"^run\.periods: must be at least 1$"):
+            replace(sc, periods=0)
 
     def test_shipped_scenarios_load(self):
         for name in ("plane_compare", "moving_object", "stationary", "noiseless_plane"):
@@ -273,7 +313,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(harness, stage, off_by_one)
         with pytest.raises(RuntimeError, match=message):
-            run_scenario(tiny_scenario(noise=evsl.NoiseModel(seed=0)))
+            run_scenario(tiny_scenario(noise=evsl.NoiseModel()))
         with pytest.raises(RuntimeError, match=message):
             compare_sampling(tiny_scenario(periods=1), parallel=True)
 
@@ -308,7 +348,7 @@ class TestRunScenario:
         assert [r.period for r in reports] == [0, 1, 2, 3]
 
     def test_parallel_equals_single_thread(self):
-        sc = tiny_scenario(noise=evsl.NoiseModel(seed=0))
+        sc = tiny_scenario(noise=evsl.NoiseModel())
         assert run_scenario(sc, parallel=False) == run_scenario(sc, parallel=True)
 
     def test_artifacts_written(self, tmp_path):
@@ -328,7 +368,7 @@ class TestRunScenario:
             run_scenario(tiny_scenario(), dump=("pictures",), out_dir=tmp_path)
 
     def test_determinism_byte_identical(self, tmp_path):
-        sc = tiny_scenario(noise=evsl.NoiseModel(seed=0), periods=2)
+        sc = tiny_scenario(noise=evsl.NoiseModel(), periods=2)
         run_scenario(sc, dump=("depth",), out_dir=tmp_path / "a")
         run_scenario(sc, dump=("depth",), out_dir=tmp_path / "b")
         for name in ("periods.csv", "depth_p000.pgm", "depth_p001.pgm"):
@@ -541,7 +581,7 @@ class TestCompareSampling:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
-        sc = tiny_scenario(noise=evsl.NoiseModel(seed=0))
+        sc = tiny_scenario(noise=evsl.NoiseModel())
         assert compare_sampling(sc, parallel=True) == compare_sampling(sc)
         assert len(pools) == 1
 

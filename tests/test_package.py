@@ -35,7 +35,7 @@ def test_event_guided_run_needs_no_scipy(tmp_path):
         sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
         import evsl
         from test_harness import tiny_scenario
-        scenario = tiny_scenario(periods=2, noise=evsl.NoiseModel(seed=0))
+        scenario = tiny_scenario(periods=2, noise=evsl.NoiseModel())
         assert isinstance(scenario.policy, evsl.EventGuidedPolicy)
         reports = evsl.run_scenario(scenario, dump=("events", "masks", "depth", "ply"), out_dir="out")
         # period 0 runs the sparse fallback; period 1 adds the boxes the mask stage found

@@ -47,7 +47,7 @@ def test_every_benchmark_hook_is_called(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
 
-    sc = tiny_scenario(periods=2, noise=evsl.NoiseModel(seed=0))
+    sc = tiny_scenario(periods=2, noise=evsl.NoiseModel())
     assert sc.evaluate_plane and isinstance(sc.policy, evsl.EventGuidedPolicy)
     phases = {}
     for phase, run in (

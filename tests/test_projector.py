@@ -245,9 +245,9 @@ class TestSimulateReflection:
     def test_seeded_jitter_is_bitwise_reproducible(self):
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
-        nm = NoiseModel(seed=42)
-        a, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=3)
-        b, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=3)
+        nm = NoiseModel()
+        a, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=3, seed=42)
+        b, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=3, seed=42)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.x, b.x)
 
@@ -257,9 +257,9 @@ class TestSimulateReflection:
         geom, proj, depth = plane_setup()
         full = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
         sub = build_scan_plan(proj, build_mask(SparsePolicy(7), (64, 48)), 0.0)
-        nm = NoiseModel(seed=9)
-        fs, _ = simulate_reflection_events(full, depth, geom, nm, sequence=1)
-        ss, _ = simulate_reflection_events(sub, depth, geom, nm, sequence=1)
+        nm = NoiseModel()
+        fs, _ = simulate_reflection_events(full, depth, geom, nm, sequence=1, seed=9)
+        ss, _ = simulate_reflection_events(sub, depth, geom, nm, sequence=1, seed=9)
         full_by_pixel = {(int(x), int(y)): t for x, y, t in zip(fs.x, fs.y, fs.t)}
         for x, y, t in zip(ss.x, ss.y, ss.t):
             assert full_by_pixel[(int(x), int(y))] == t
@@ -267,9 +267,9 @@ class TestSimulateReflection:
     def test_different_sequences_differ(self):
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
-        nm = NoiseModel(seed=42)
-        a, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=0)
-        b, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=1)
+        nm = NoiseModel()
+        a, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=0, seed=42)
+        b, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=1, seed=42)
         assert not np.array_equal(a.t, b.t)
 
     def test_latency_shifts_timestamps(self):
@@ -301,13 +301,13 @@ class TestSimulateReflection:
         geom = SensorGeometry((200, 20), (200, 20), 100.0, 0.02)
         proj = ProjectorModel((200, 20), 60.0)
         depth = DepthMap.constant((200, 20), 10.0)
-        nm = NoiseModel(jitter_anchors=(), quantization_us=0.0, drop_probability=0.25, seed=5)
+        nm = NoiseModel(jitter_anchors=(), quantization_us=0.0, drop_probability=0.25)
         mask = build_mask(SparsePolicy(2), (200, 20))
         emitted = 0
         periods = 50
         for p in range(periods):
             plan = build_scan_plan(proj, mask, p * proj.period_us)
-            stream, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=p)
+            stream, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=p, seed=5)
             emitted += len(stream)
         mean_rate = emitted / (periods * proj.period_us * 1e-6)
         theory = raster_event_rate(60, 200, 20) * mask.fraction * (1 - 0.25)
@@ -316,7 +316,7 @@ class TestSimulateReflection:
     def test_timestamps_sorted_under_jitter(self):
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
-        stream, _ = simulate_reflection_events(plan, depth, geom, NoiseModel(seed=1), sequence=2)
+        stream, _ = simulate_reflection_events(plan, depth, geom, NoiseModel(), sequence=2, seed=1)
         assert np.all(np.diff(stream.t) >= 0)
         assert np.all(stream.t >= 0)
 
@@ -386,6 +386,7 @@ def oracle_simulate_reflection_events(
     geometry: SensorGeometry,
     noise: NoiseModel,
     sequence: int = 0,
+    seed: int = 0,
 ) -> tuple[EventStream, dict[str, int]]:
     """The simulator as it was before it drew noise only for landing firings:
     every firing gets its jitter and drop, and the out-of-frame ones are
@@ -414,10 +415,10 @@ def oracle_simulate_reflection_events(
         # Acceptance criterion 4's noise ordering across policies rests on it.
         sigma = timestamp_jitter_std(noise, plan.mean_event_rate)
         if sigma > 0:
-            t = t + sigma * oracle_keyed_normals(noise.seed, sequence, plan.k)
+            t = t + sigma * oracle_keyed_normals(seed, sequence, plan.k)
     dropped = np.zeros(len(plan), dtype=bool)
     if noise.drop_probability > 0:
-        u = oracle_keyed_uniforms(noise.seed, sequence, plan.k, stream=3)
+        u = oracle_keyed_uniforms(seed, sequence, plan.k, stream=3)
         dropped = u < noise.drop_probability
     if noise.quantization_us > 0:
         t = np.floor(t / noise.quantization_us + 0.5) * noise.quantization_us
@@ -441,7 +442,7 @@ def oracle_simulate_reflection_events(
 
 @st.composite
 def reflection_cases(draw):
-    """A plan, a depth map with invalid pixels, a rig and a noise model.
+    """A plan, a depth map with invalid pixels, a rig, a noise model, and the sequence and seed of the draws.
 
     Camera and projector sizes are drawn apart, so firings leave the camera
     frame past its right edge and below its last row as well as past the
@@ -464,9 +465,9 @@ def reflection_cases(draw):
         drop_probability=draw(st.sampled_from([0.0, 0.1, 1.0])),
         # at 60 Hz a 0.25 us clock gives a period more ticks than a uint16 key holds
         quantization_us=draw(st.sampled_from([0.0, 0.25, 1.0, 2.5])),
-        seed=draw(st.integers(0, 2**31), label="noise_seed"),
     )
-    return plan, DepthMap((pw, ph), depth, valid), geometry, noise, draw(st.integers(0, 50), label="sequence")
+    sequence, seed = draw(st.integers(0, 50), label="sequence"), draw(st.integers(0, 2**31), label="noise_seed")
+    return plan, DepthMap((pw, ph), depth, valid), geometry, noise, sequence, seed
 
 
 class TestReflectionMatchesOracle:
@@ -475,9 +476,9 @@ class TestReflectionMatchesOracle:
     @settings(max_examples=300)
     @given(reflection_cases())
     def test_property(self, case):
-        plan, depth, geometry, noise, sequence = case
-        got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence)
-        want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence)
+        plan, depth, geometry, noise, sequence, seed = case
+        got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
+        want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
         assert list(got_tally.items()) == list(want_tally.items())
         assert_same_stream(got, want)
 
@@ -491,9 +492,9 @@ class TestReflectionMatchesOracle:
         # at 2 kHz firings are 0.16 us apart, so jitter reorders them within one microsecond
         geom, proj, depth = plane_setup(f_hz=f_hz)
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
-        nm = NoiseModel(latency_us=3.7, quantization_us=quantization_us, seed=4)
-        got, got_tally = simulate_reflection_events(plan, depth, geom, nm, sequence=2)
-        want, want_tally = oracle_simulate_reflection_events(plan, depth, geom, nm, sequence=2)
+        nm = NoiseModel(latency_us=3.7, quantization_us=quantization_us)
+        got, got_tally = simulate_reflection_events(plan, depth, geom, nm, sequence=2, seed=4)
+        want, want_tally = oracle_simulate_reflection_events(plan, depth, geom, nm, sequence=2, seed=4)
         assert got_tally == want_tally
         assert_same_stream(got, want)
 
