@@ -45,7 +45,7 @@ class Scenario:
         if self.geometry.proj_resolution != self.projector.resolution:
             raise ConfigError(f"geometry.proj_resolution: differs from the projector's {self.projector.resolution}")
         _check_run(self.periods, self.seed)
-        needed = self.periods * self.projector.period_us
+        needed = _run_duration(self.periods, self.projector.period_us)
         if self.script.duration_us + 1e-6 < needed:
             raise ConfigError(f"scene.duration_us: {self.script.duration_us} is shorter than "
                               f"{self.periods} scan periods ({needed:.3f} us)")
@@ -56,6 +56,17 @@ def _check_run(periods: int, seed: int) -> None:
     for key, value, least in (("periods", periods, 1), ("seed", seed, 0)):
         if value < least:
             raise ConfigError(f"run.{key}: must be at least {least}")
+
+
+def _run_duration(periods: int, period_us: float) -> float:
+    """Microseconds in ``periods`` scan periods, which must be a finite float."""
+    try:
+        duration = periods * period_us
+    except OverflowError:  # int too large to convert to float
+        duration = math.inf
+    if not math.isfinite(duration):
+        raise ConfigError(f"run.periods: {periods} scan periods of {period_us} us overflow a float")
+    return duration
 
 
 _REQUIRED = object()
@@ -87,7 +98,13 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)  # not .nan or .inf
+    """An int or float that is a finite float: not .nan, .inf, or an integer past the float range."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        return False
 
 
 def _scalar(is_kind, expected, convert):
@@ -257,7 +274,7 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
         projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
     except ValueError as exc:
         raise ConfigError(f"projector: {exc}") from None
-    duration = (_NUMBER, run["periods"] * projector.period_us)  # the default is run.periods scan periods
+    duration = (_NUMBER, _run_duration(run["periods"], projector.period_us))  # the default is run.periods scan periods
     script = _section((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}))("scene", sections["scene"])
     return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
                     guide_camera=sections["guide_camera"], name=name, **run)

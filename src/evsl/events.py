@@ -73,6 +73,8 @@ class EventStream:
     Events are stored as parallel 1-D arrays (t: float64 microseconds, x/y:
     int32, p: int8 in {-1, +1}). The stream takes the arrays over and marks
     them read-only; streams are plain values, safe to share across threads.
+    Coordinates must be integral and inside the resolution, in any dtype: a
+    fractional or NaN one is rejected, not truncated by the cast.
     """
 
     resolution: tuple[int, int]
@@ -84,8 +86,9 @@ class EventStream:
     def __post_init__(self):
         _check_resolution(self.resolution)
         w, h = self.resolution
-        # p, x and y are checked as given: the casts below would wrap 257 to 1 and 2**32 + 3 to 3.
-        # Each check is written so that a NaN fails, directly or through a comparison with it.
+        # p, x and y are checked as given: the casts below would wrap 257 to 1 and 2**32 + 3 to 3,
+        # and truncate 2.7 to 2. Each check is written so that a NaN fails, directly or through a
+        # comparison with it; integer coordinates skip the integrality pass.
         t, x, y, p = (np.asarray(getattr(self, name)) for name in "txyp")
         if not np.all(np.abs(p) == 1):
             raise ValueError("polarity must be -1 or +1")
@@ -93,6 +96,8 @@ class EventStream:
             raise ValueError("event arrays must be 1-D and of equal length")
         if len(t) and not (x.min() >= 0 and x.max() < w and y.min() >= 0 and y.max() < h):
             raise ValueError("event coordinates outside resolution")
+        if not all(a.dtype.kind in "biu" or np.array_equal(a, np.trunc(a)) for a in (x, y)):
+            raise ValueError("event coordinates must be integers")
         for name, a, dtype in (("t", t, np.float64), ("x", x, np.int32), ("y", y, np.int32), ("p", p, np.int8)):
             object.__setattr__(self, name, _frozen(a, dtype))
         t = self.t

@@ -9,7 +9,9 @@ by the rectified disparity, with timing noise applied per the noise model.
 Per-firing noise draws are counter-based: they are keyed by (seed, sequence,
 raster index) through a splitmix64 hash, so generating events for any subset
 of firings, in any order or in parallel, yields the same draws per firing.
-The hash and the draws are computed in place on arrays the noise chain owns.
+The reflection simulator therefore draws them over blocks of at most
+``_NOISE_BLOCK`` landing firings, so that the hash and the draws, computed in
+place on arrays the noise chain owns, stay in cache on a dense period.
 """
 
 from __future__ import annotations
@@ -196,6 +198,7 @@ def build_scan_plan(projector: ProjectorModel, mask: IlluminationMask, t0_us: fl
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_NOISE_BLOCK = 1 << 15  # landing keys per noise draw: keeps the hash and Box-Muller passes in cache
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -220,7 +223,7 @@ def _keyed_hash(seed: int, sequence: int, ks: np.ndarray) -> np.ndarray:
 
 def _keyed_uniforms(h: np.ndarray, stream: int, open_low: bool = False) -> np.ndarray:
     """Deterministic uniforms in [0, 1) (or (0, 1]) of one stream, from :func:`_keyed_hash` values ``h``,
-    which are left as they are: one hash per reflection call serves every stream, freed before its sort."""
+    which are left as they are: one hash of a block of keys serves every stream drawn for that block."""
     x = _splitmix64(h + _U64(stream * 0xBF58476D1CE4E5B9 & _MASK64))
     x >>= _U64(11)
     u = x.astype(np.float64)
@@ -264,11 +267,16 @@ def simulate_reflection_events(
     Noise is drawn only for firings that land in frame. That is exact: each
     draw is keyed by raster index, so a firing's jitter and drop do not depend
     on which others are drawn. Jitter sigma still follows all the plan's firings.
-    One hash of the landing keys serves jitter and drops and is freed before
-    the one stable sort: by integer clock tick when quantized (their time
-    order), else by time.
+    For the same reason the draws run over blocks of ``_NOISE_BLOCK`` landing
+    keys, in order: each block's one hash serves its jitter, added to its slice
+    of the times, and its drop draws, written to its slice of one keep mask;
+    the landing set is compressed by that mask once, after the last block.
+    A landing set within one block runs the unblocked computation. Geometry,
+    quantization, the one stable sort (by integer clock tick when quantized,
+    their time order, else by time) and the gathers run on whole arrays.
     The geometry and the noise chain work in place on the arrays they own, and
     the draws per firing are the same as computing each step in a new array.
+    Camera columns are handed to the stream as int32.
 
     Returns the time-sorted stream and a tally of discarded firings.
     """
@@ -297,14 +305,19 @@ def simulate_reflection_events(
     # Acceptance criterion 4's noise ordering across policies rests on it.
     # numpy elides the temporary: sigma scales the normals in their own array.
     sigma = timestamp_jitter_std(noise, plan.mean_event_rate)  # 0 without jitter anchors
-    if sigma > 0 or noise.drop_probability > 0:
-        h = _keyed_hash(seed, sequence, plan.k[landed])  # one hash for the jitter and the drop draws
-        if sigma > 0:
-            t += sigma * _keyed_normals(h)
-        if noise.drop_probability > 0:
-            kept = _keyed_uniforms(h, stream=3) >= noise.drop_probability
+    drops = noise.drop_probability > 0
+    if sigma > 0 or drops:
+        kept = np.empty(n_landed, bool) if drops else None
+        for i in range(0, n_landed, _NOISE_BLOCK):  # the last block may be short
+            j = i + _NOISE_BLOCK
+            h = _keyed_hash(seed, sequence, plan.k[landed[i:j]])  # one hash for the jitter and the drop draws
+            if sigma > 0:
+                t[i:j] += sigma * _keyed_normals(h)
+            if drops:
+                np.greater_equal(_keyed_uniforms(h, stream=3), noise.drop_probability, out=kept[i:j])
+            del h  # freed before the next block's hash and before the sort
+        if drops:
             landed, t = landed[kept], t[kept]
-        del h  # freed before the sort
     if noise.quantization_us > 0:
         # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
         # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
@@ -322,4 +335,8 @@ def simulate_reflection_events(
     tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
              "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(landed)}
     landed = landed[order]
-    return EventStream(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)), tally
+    x, y, p = cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)
+    # x is integral: cast here, so the stream checks int32 coordinates in no extra pass. The float
+    # gather lives through the call, as when the stream cast it: freeing it first raised the
+    # peak memory of threaded runs by a few MB.
+    return EventStream(geometry.cam_resolution, t, x.astype(np.int32), y, p), tally

@@ -72,6 +72,26 @@ class TestEventStream:
         with pytest.raises(ValueError, match="coordinates outside resolution"):
             EventStream((640, 480), [1.0, 2.0], x, y, [1, 1])
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([2.7], [0], "must be integers"),
+        ([2], [0.9], "must be integers"),
+        (np.array([1.0, 2.7]), np.array([0, 0], dtype=np.int64), "must be integers"),
+        ([np.nan], [0.0], "outside resolution"),
+        ([1.0], [np.nan], "outside resolution"),
+    ], ids=["x-2.7", "y-0.9", "array-x-2.7", "nan-x", "nan-y"])
+    def test_rejects_fractional_coordinates(self, x, y, message):
+        # the int32 cast would truncate 2.7 to 2 and 0.9 to 0
+        t = np.arange(len(x), dtype=np.float64)
+        with pytest.raises(ValueError, match="event coordinates " + message):
+            EventStream((4, 4), t, x, y, np.ones(len(x)))
+        with pytest.raises(ValueError, match="event coordinates " + message):
+            EventStream.from_arrays((4, 4), t, x, y, np.ones(len(x)))
+
+    def test_integral_float_coordinates_accepted(self):
+        s = EventStream((4, 4), [0.0, 1.0, 2.0], np.array([0.0, 3.0, -0.0]), [1.0, 3.0, 0.0], [1, 1, -1])
+        assert s.x.dtype == s.y.dtype == np.int32
+        assert list(s.x) == [0, 3, 0] and list(s.y) == [1, 3, 0]
+
     def test_float_unit_polarity_accepted(self):
         s = EventStream((4, 4), [0.0, 1.0], [0, 1], [0, 1], np.array([1.0, -1.0]))
         assert s.p.dtype == np.int8 and list(s.p) == [1, -1]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,7 @@ def config_with(path, value):
 
 
 RECT_MESSAGE = "scene.objects[0].rect_px: expected numbers x0, y0 and integers width, height, got "
+HUGE = 10**400  # a YAML integer past the float range
 
 
 class TestScenarioConfig:
@@ -216,6 +218,24 @@ class TestScenarioConfig:
         path.write_text(path.read_text() + "guide_camera:\n  render_rate_hz: .inf\n")
         assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: guide_camera.render_rate_hz: expected a number, got inf\n"
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("geometry", "focal_length_px"), HUGE, f"geometry.focal_length_px: expected a number, got {HUGE}"),
+        (("scene", "objects", 0, "velocity_px_per_us"), [HUGE, 0.0],
+         f"scene.objects[0].velocity_px_per_us: expected numeric pair, got [{HUGE}, 0.0]"),
+        (("noise", "jitter_anchors"), [[HUGE, 1.0]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
+        (("run", "periods"), HUGE, f"run.periods: {HUGE} scan periods of {1e6 / 60.0} us overflow a float"),
+        (("run", "periods"), 10**305, f"run.periods: {10**305} scan periods of {1e6 / 60.0} us overflow a float"),
+    ], ids=["focal_length_px", "velocity_px_per_us", "jitter_anchors", "periods", "periods-float-product"])
+    def test_integer_past_float_range_names_field(self, tmp_path, capsys, path, value, message):
+        # float(10**400) raises OverflowError; 10**305 converts, but 10**305 scan periods of 16,667 us do not fit
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(config_with(path, value))
+        assert str(info.value) == message
+        scenario = tmp_path / "huge.yaml"
+        scenario.write_text(yaml.safe_dump(config_with(path, value)))
+        assert cli_main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_projector_resolution_held_once(self):
         sc = tiny_scenario()

@@ -1,8 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evsl import harness, projector
 from evsl.events import DepthMap, EventStream
 from evsl.policy import DensePolicy, IlluminationMask, SparsePolicy, build_mask
 from evsl.projector import (
@@ -24,6 +29,9 @@ from evsl.projector import (
     simulate_reflection_events,
     timestamp_jitter_std,
 )
+from evsl.scene import render_scene
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestDwellTime:
@@ -471,16 +479,20 @@ def reflection_cases(draw):
 
 
 class TestReflectionMatchesOracle:
-    """Drawing noise only for landing firings gives the oracle's bytes and tally."""
+    """Drawing noise only for landing firings, in blocks of landing keys, gives the oracle's bytes and tally."""
 
     @settings(max_examples=300)
     @given(reflection_cases())
     def test_property(self, case):
-        plan, depth, geometry, noise, sequence, seed = case
-        got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
-        want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
-        assert list(got_tally.items()) == list(want_tally.items())
-        assert_same_stream(got, want)
+        assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=100)
+    @given(case=reflection_cases())
+    def test_property_at_block_size(self, block, case):
+        # up to 480 landing keys: block sizes this small put many block edges in every case
+        with mock.patch.object(projector, "_NOISE_BLOCK", block):
+            assert_matches_oracle(*case)
 
     @pytest.mark.parametrize(
         "quantization_us, f_hz",
@@ -492,11 +504,105 @@ class TestReflectionMatchesOracle:
         # at 2 kHz firings are 0.16 us apart, so jitter reorders them within one microsecond
         geom, proj, depth = plane_setup(f_hz=f_hz)
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
-        nm = NoiseModel(latency_us=3.7, quantization_us=quantization_us)
-        got, got_tally = simulate_reflection_events(plan, depth, geom, nm, sequence=2, seed=4)
-        want, want_tally = oracle_simulate_reflection_events(plan, depth, geom, nm, sequence=2, seed=4)
-        assert got_tally == want_tally
-        assert_same_stream(got, want)
+        assert_matches_oracle(plan, depth, geom, NoiseModel(latency_us=3.7, quantization_us=quantization_us), 2, 4)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
+    def test_dense_period_with_drops_at_block_size(self, block):
+        # 2,496 landing keys: 2,496 blocks of one key down to one block of all of them
+        geom, proj, depth = plane_setup()
+        plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
+        with mock.patch.object(projector, "_NOISE_BLOCK", block):
+            assert_matches_oracle(plan, depth, geom, NoiseModel(latency_us=3.7, drop_probability=0.1), 2, 4)
+
+
+def assert_matches_oracle(plan, depth, geometry, noise, sequence, seed):
+    got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
+    want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
+    assert list(got_tally.items()) == list(want_tally.items())
+    assert_same_stream(got, want)
+
+
+def _parent_simulate_reflection_events(
+    plan: ScanPlan,
+    scene_depth: DepthMap,
+    geometry: SensorGeometry,
+    noise: NoiseModel,
+    sequence: int = 0,
+    seed: int = 0,
+) -> tuple[EventStream, dict[str, int]]:
+    """The simulator as it was before it drew the noise in blocks of landing keys:
+    one hash and one chain of draws over every landing key at once."""
+    if scene_depth.resolution != plan.resolution:
+        raise ValueError(
+            f"depth resolution {scene_depth.resolution} does not match plan {plan.resolution}"
+        )
+    cam_w, cam_h = geometry.cam_resolution
+    cam_col = np.take(scene_depth.depth, plan.k)  # Z, overwritten with floor(col - f * b / Z + 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(geometry.focal_length_px * geometry.baseline_m, cam_col, out=cam_col)
+        np.subtract(plan.cols, cam_col, out=cam_col)
+        cam_col += 0.5
+        np.floor(cam_col, out=cam_col)
+    in_frame = np.take(scene_depth.valid, plan.k)
+    invalid_depth = len(plan) - int(np.count_nonzero(in_frame))
+    in_frame &= (cam_col >= 0) & (cam_col < cam_w)
+    in_frame &= plan.rows < cam_h
+    landed = np.flatnonzero(in_frame)
+    n_landed = len(landed)
+
+    t = plan.fire_t_us[landed]
+    t += noise.latency_us
+    # Modelling choice: sigma follows the period's mean firing rate, not the
+    # local burst rate inside an ROI, so a sparser mask means less jitter.
+    # Acceptance criterion 4's noise ordering across policies rests on it.
+    # numpy elides the temporary: sigma scales the normals in their own array.
+    sigma = timestamp_jitter_std(noise, plan.mean_event_rate)  # 0 without jitter anchors
+    if sigma > 0 or noise.drop_probability > 0:
+        h = _keyed_hash(seed, sequence, plan.k[landed])  # one hash for the jitter and the drop draws
+        if sigma > 0:
+            t += sigma * _keyed_normals(h)
+        if noise.drop_probability > 0:
+            kept = _keyed_uniforms(h, stream=3) >= noise.drop_probability
+            landed, t = landed[kept], t[kept]
+        del h  # freed before the sort
+    if noise.quantization_us > 0:
+        # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
+        # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
+        t /= noise.quantization_us
+        t += 0.5
+        np.floor(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    lo = t.min(initial=np.inf)
+    tick_key = noise.quantization_us > 0 and t.max(initial=0.0) - lo <= 0xFFFF
+    order = np.argsort((t - lo).astype(np.uint16) if tick_key else t, kind="stable")
+    t = t[order]
+    if noise.quantization_us > 0:
+        t *= noise.quantization_us
+
+    tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
+             "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(landed)}
+    landed = landed[order]
+    return EventStream(geometry.cam_resolution, t, cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)), tally
+
+
+@pytest.fixture(scope="module")
+def moving_object_period_0():
+    """The dense first period of ``moving_object`` as ``run_period`` simulates it: 301,440 landing keys."""
+    sc = harness.load_scenario(SCENARIOS / "moving_object.yaml")
+    w0, w1 = harness._window(sc, 0)
+    depth = harness._resample_depth(render_scene(sc.script, (w0 + w1) / 2.0), sc.projector.resolution)
+    return sc, build_scan_plan(sc.projector, harness._mask_for_period(sc, None), t0_us=w0), depth
+
+
+@pytest.mark.parametrize("drop_probability", [0.0, 0.1], ids=["no-drops", "drops"])
+def test_blocked_noise_matches_parent_on_dense_bundled_period(moving_object_period_0, drop_probability):
+    sc, plan, depth = moving_object_period_0
+    noise = replace(sc.noise, drop_probability=drop_probability)
+    got, got_tally = simulate_reflection_events(plan, depth, sc.geometry, noise, 0, sc.seed)
+    want, want_tally = _parent_simulate_reflection_events(plan, depth, sc.geometry, noise, 0, sc.seed)
+    assert got_tally["emitted"] + got_tally["dropped"] > 9 * projector._NOISE_BLOCK  # ten blocks of landing keys
+    assert list(got_tally.items()) == list(want_tally.items())
+    assert_same_stream(got, want)
 
 
 def assert_same_stream(got, want):
