@@ -1,18 +1,20 @@
 """Command-line entry points.
 
 Subcommands: simulate, sweep-delta-t, sweep-event-rate, compare-sampling,
-active-pixels. Exit code 0 on success, 2 on configuration errors.
+active-pixels. Exit code 0 on success, 2 on configuration errors, and 1,
+with no message, when the reader closes stdout early (``evsl ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
 
 from .events import make_event_frame
-from .formats import format_cell, read_event_stream, write_csv
+from .formats import read_event_stream, write_csv
 from .harness import (
     COMPARE_CSV_HEADER,
     DUMP_KINDS,
@@ -40,12 +42,9 @@ def _frequencies(args) -> list[float]:
 
 
 def _emit_rows(rows, header, out_path) -> None:
-    if out_path is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_cell(row[k]) for k in header))
-    else:
-        write_csv(out_path, header, ([row[k] for k in header] for row in rows))
+    """The rows as CSV in ``header`` order, to stdout when ``out_path`` is None."""
+    write_csv(sys.stdout if out_path is None else out_path, header, ([row[k] for k in header] for row in rows))
+    if out_path is not None:
         print(f"wrote {out_path}")
 
 
@@ -119,10 +118,11 @@ def _cmd_sweep(sweep_fn, header, args) -> int:
 def _cmd_compare(args) -> int:
     scenario = _load_with_overrides(args)
     out_dir = args.out_dir or scenario.out_dir
-    rows = compare_sampling(scenario, parallel=args.parallel, out_dir=out_dir)
+    rows = compare_sampling(scenario, parallel=args.parallel)
     _emit_rows(rows, COMPARE_CSV_HEADER, None)
     if out_dir is not None:
-        print(f"wrote {Path(out_dir) / 'compare_sampling.csv'}")
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        _emit_rows(rows, COMPARE_CSV_HEADER, Path(out_dir) / "compare_sampling.csv")
     return 0
 
 
@@ -138,7 +138,12 @@ def _cmd_active_pixels(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # as the Python docs' SIGPIPE note advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -285,7 +285,7 @@ def load_scenario(path: str | os.PathLike, run_overrides: dict | None = None) ->
     p = Path(path)
     try:
         mapping = yaml.safe_load(p.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: not UTF-8, or an integer past 4300 digits
         raise ConfigError(f"{p}: invalid YAML ({exc})") from None
     if not isinstance(mapping, dict):
         raise ConfigError(f"{p}: scenario file must contain a mapping")

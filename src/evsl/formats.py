@@ -11,7 +11,8 @@
 - Masks: binary PBM (P4), bit 1 = illuminated.
 - Point clouds: ASCII PLY with float32 x/y/z properties.
 - Tables: UTF-8 CSV with a header row; floats printed with %.9g so repeated
-  runs are byte-identical.
+  runs are byte-identical; ``write_csv`` renders every table, to a file or
+  to stdout, so the two hold the same bytes.
 
 The event writer works 65,536 events at a time. When every timestamp is a
 non-negative integer below 2**63 (no ``-0.0``), it builds each event as a
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -167,8 +168,11 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+def write_csv(out: str | os.PathLike | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line, then one line per row, to a path or to an open text stream such as stdout."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            return write_csv(fh, header, rows)
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(format_cell(v) for v in row) + "\n")

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario, parse_scenario  # the loaders are re-exported
-from .depth import DegenerateInputError, PointCloud, depth_to_points, fit_plane, reconstruct_depth
+from .depth import DegenerateInputError, depth_to_points, fit_plane, reconstruct_depth
 from .events import DepthMap, EventFrame, EventStream, make_event_frame, make_time_surface
 from .formats import write_csv, write_depth_pgm, write_event_stream, write_pbm, write_ply
 from .policy import (
@@ -89,7 +89,6 @@ class PeriodResult:
     mask: IlluminationMask
     reflection: EventStream
     depth: DepthMap
-    cloud: PointCloud | None  # None unless the plane fit needed it
 
 
 def _window(scenario: Scenario, p: int) -> tuple[float, float]:
@@ -179,11 +178,10 @@ def run_period(
         if failed + valid != w * h or valid != np.count_nonzero(depth_map.valid):
             raise RuntimeError(f"period {p}: decode tally {tally} does not account for {w}x{h} pixels "
                                f"and {depth_map.valid_count} valid")
-        plane_rms = error = cloud = None
+        plane_rms = error = None
         if scenario.evaluate_plane and valid >= 3:
-            cloud = depth_to_points(depth_map, scenario.geometry)
-            try:
-                plane_rms = fit_plane(cloud).rms
+            try:  # the cloud is freed straight after its fit
+                plane_rms = fit_plane(depth_to_points(depth_map, scenario.geometry)).rms
             except DegenerateInputError as exc:  # record the failure and keep scanning
                 error = f"{type(exc).__name__}: {exc}"
         fraction = mask.fraction
@@ -192,7 +190,7 @@ def run_period(
             guide_event_rate=len(guide) / period_s, reflection_event_rate=len(reflection) / period_s,
             valid_depth_pixels=valid, plane_rms_m=plane_rms, power_proxy=fraction, error=error,
         )
-        results.append(PeriodResult(report, mask, reflection, depth_map, cloud))
+        results.append(PeriodResult(report, mask, reflection, depth_map))
     return results
 
 
@@ -259,8 +257,7 @@ def run_scenario(
         if "depth" in dump:
             write_depth_pgm(out_path / f"depth_{tag}.pgm", result.depth)
         if "ply" in dump:
-            cloud = result.cloud if result.cloud is not None else depth_to_points(result.depth, scenario.geometry)
-            write_ply(out_path / f"cloud_{tag}.ply", cloud)
+            write_ply(out_path / f"cloud_{tag}.ply", depth_to_points(result.depth, scenario.geometry))
 
     if out_dir is not None:
         write_csv(out_path / "periods.csv", PERIOD_CSV_HEADER, map(astuple, reports))
@@ -278,19 +275,16 @@ COMPARE_CSV_HEADER = [
 ]
 
 
-def compare_sampling(
-    scenario: Scenario,
-    parallel: bool = False,
-    out_dir: str | os.PathLike | None = None,
-) -> list[dict]:
-    """Run dense, sparse, and event-guided policies over identical seeds.
+def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
+    """Run dense, sparse, and event-guided policies over identical seeds; one row each.
 
     The sparse stride mirrors the event-guided background stride so the two
     share a noise floor. Aggregates skip the first period (the event-guided
     policy has no guidance yet and runs its fallback there); a single-period
     scenario aggregates that period as-is. The three policies share one guide
     stage and one scene render per period; ``parallel`` runs as in
-    :func:`run_scenario`, with identical rows.
+    :func:`run_scenario`, with identical rows. The CLI, not this function,
+    writes them to ``compare_sampling.csv``.
     """
     guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
     policies = {"dense": DensePolicy(), "sparse": SparsePolicy(stride=guided.background_stride), "event_guided": guided}
@@ -309,11 +303,6 @@ def compare_sampling(
             "mean_valid_depth_pixels": _mean(r.valid_depth_pixels for r in steady),
             "power_reduction_vs_dense_pct": 100.0 * (1.0 - mask_fraction),
         })
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        write_csv(out_path / "compare_sampling.csv", COMPARE_CSV_HEADER,
-                  ([r[k] for k in COMPARE_CSV_HEADER] for r in rows))
     return rows
 
 
@@ -321,7 +310,7 @@ DWELL_CSV_HEADER = ["preset", "f_hz", "delta_t_s", "below_1us"]
 RATE_CSV_HEADER = ["preset", "f_hz", "event_rate_ev_s"]
 
 
-def sweep_dwell_time(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> list[dict]:
+def sweep_dwell_time(frequencies_hz: Iterable[float]) -> list[dict]:
     """Dense dwell time per sensor preset across projector scan frequencies.
 
     Rows whose dwell time falls below the 1 us event-camera clock are
@@ -332,7 +321,7 @@ def sweep_dwell_time(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> li
     return [{"preset": name, "f_hz": float(f), "delta_t_s": dt, "below_1us": dt < 1e-6} for name, f, dt in dts]
 
 
-def sweep_event_rate(frequencies_hz: Iterable[float] = range(50, 291, 10)) -> list[dict]:
+def sweep_event_rate(frequencies_hz: Iterable[float]) -> list[dict]:
     """Theoretical dense reflection event rate per preset across scan frequencies."""
     frequencies_hz = tuple(frequencies_hz)  # iterated once per preset
     return [{"preset": p.name, "f_hz": float(f), "event_rate_ev_s": raster_event_rate(f, *p.resolution)}

@@ -1,7 +1,10 @@
 import copy
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,9 @@ from evsl.events import DepthMap, EventStream
 from evsl.projector import SENSOR_PRESETS
 from evsl.harness import (
     DUMP_KINDS,
+    PERIOD_CSV_HEADER,
     ConfigError,
+    PeriodReport,
     Scenario,
     compare_sampling,
     load_scenario,
@@ -28,6 +33,7 @@ from evsl.harness import (
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SRC = str(Path(evsl.__file__).resolve().parents[1])
 
 
 def tiny_scenario(policy=None, periods=3, noise=None, seed=5, objects=None):
@@ -237,6 +243,16 @@ class TestScenarioConfig:
         assert cli_main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_integer_past_conversion_limit_names_file(self, tmp_path, capsys):
+        # Python converts no decimal string of more than 4300 digits to an int, and PyYAML raises its ValueError
+        scenario = scenario_yaml(tmp_path)
+        scenario.write_text(scenario.read_text().replace("focal_length_px: 600.0", "focal_length_px: " + "1" * 5001))
+        with pytest.raises(ConfigError) as info:
+            load_scenario(scenario)
+        assert str(info.value).startswith(f"{scenario}: ")
+        assert cli_main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
+
     def test_projector_resolution_held_once(self):
         sc = tiny_scenario()
         message = r"^geometry\.proj_resolution: differs from the projector's \(32, 24\)$"
@@ -290,6 +306,13 @@ class TestRunScenario:
         reports = run_scenario(sc)
         assert len(reports) == 2
         assert all(r.error is not None and "Degenerate" in r.error for r in reports)
+
+    def test_period_csv_header_follows_report_fields(self):
+        # periods.csv holds astuple(report) under this header: one column per field, in field order
+        names = [f.name for f in fields(PeriodReport)]
+        assert len(PERIOD_CSV_HEADER) == len(names)
+        for column, name in zip(PERIOD_CSV_HEADER, names):
+            assert column in (name, f"{name}_ev_s")
 
     def test_degenerate_period_keeps_metrics_and_dumps(self, tmp_path):
         script = evsl.SceneScript((64, 1), 16666.666666666668, evsl.Background(2.0, 0.5))
@@ -605,12 +628,6 @@ class TestCompareSampling:
         assert compare_sampling(sc, parallel=True) == compare_sampling(sc)
         assert len(pools) == 1
 
-    def test_csv_written(self, tmp_path):
-        compare_sampling(tiny_scenario(), out_dir=tmp_path)
-        lines = (tmp_path / "compare_sampling.csv").read_text().splitlines()
-        assert lines[0].startswith("policy,")
-        assert len(lines) == 4
-
 
 class TestSweeps:
     def test_dwell_flags(self):
@@ -675,6 +692,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("policy,")
         assert "event_guided" in out
+
+    def test_compare_sampling_csv_written(self, tmp_path):
+        assert cli_main(["compare-sampling", str(scenario_yaml(tmp_path)), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "compare_sampling.csv").read_text().splitlines()
+        assert lines[0].startswith("policy,")
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize("command", ["sweep-delta-t", "sweep-event-rate"])
+    def test_sweep_file_equals_stdout(self, tmp_path, capsys, command):
+        assert cli_main([command]) == 0
+        table = capsys.readouterr().out
+        target = tmp_path / "sweep.csv"
+        assert cli_main([command, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        assert target.read_bytes() == table.encode()
+
+    def test_compare_sampling_file_equals_stdout(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli_main(["compare-sampling", str(scenario_yaml(tmp_path)), "--periods", "2",
+                         "--out-dir", str(out_dir)]) == 0
+        *table, wrote = capsys.readouterr().out.splitlines(keepends=True)
+        assert wrote == f"wrote {out_dir / 'compare_sampling.csv'}\n"
+        assert (out_dir / "compare_sampling.csv").read_bytes() == "".join(table).encode()
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # about 6 MB of rows, far more than a pipe buffer holds, so writes go on after the reader has gone
+        env = {**os.environ, "PYTHONPATH": SRC}
+        with subprocess.Popen([sys.executable, "-m", "evsl.cli", "sweep-delta-t", "--f-step", "0.01"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"preset,f_hz,delta_t_s,below_1us\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert stderr == b""
 
     def test_active_pixels_cli(self, tmp_path, capsys):
         from evsl.formats import write_event_stream
