@@ -3,11 +3,13 @@
 Subcommands: simulate, sweep-delta-t, sweep-event-rate, compare-sampling,
 active-pixels. Exit code 0 on success, 2 on configuration errors, and 1,
 with no message, when the reader closes stdout early (``evsl ... | head``).
+A table's header is its first row's keys, declared in :mod:`evsl.harness`.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -16,14 +18,12 @@ from pathlib import Path
 from .events import make_event_frame
 from .formats import read_event_stream, write_csv
 from .harness import (
-    COMPARE_CSV_HEADER,
     DUMP_KINDS,
-    DWELL_CSV_HEADER,
-    RATE_CSV_HEADER,
     ConfigError,
     compare_sampling,
     load_scenario,
     run_scenario,
+    steady_periods,
     sweep_dwell_time,
     sweep_event_rate,
 )
@@ -31,19 +31,24 @@ from .policy import active_pixel_fraction
 
 
 def _frequencies(args) -> list[float]:
+    for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max), ("--f-step", args.f_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: must be finite, got {value}")
     if args.f_step <= 0 or args.f_max < args.f_min:
         raise ConfigError("invalid frequency range: need f_min <= f_max and f_step > 0")
     out = []
     f = args.f_min
     while f <= args.f_max + 1e-9:
         out.append(round(f, 9))
+        if f + args.f_step == f:
+            raise ConfigError(f"--f-step: {args.f_step} no longer changes the frequency at {f} Hz")
         f += args.f_step
     return out
 
 
-def _emit_rows(rows, header, out_path) -> None:
-    """The rows as CSV in ``header`` order, to stdout when ``out_path`` is None."""
-    write_csv(sys.stdout if out_path is None else out_path, header, ([row[k] for k in header] for row in rows))
+def _emit_rows(rows, out_path) -> None:
+    """The rows as CSV under the first row's keys, to stdout when ``out_path`` is None."""
+    write_csv(sys.stdout if out_path is None else out_path, list(rows[0]), (row.values() for row in rows))
     if out_path is not None:
         print(f"wrote {out_path}")
 
@@ -68,16 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="artifact kinds to write per period")
     sim.set_defaults(func=_cmd_simulate)
 
-    for name, quantity, sweep_fn, header in (
-        ("sweep-delta-t", "dense dwell time", sweep_dwell_time, DWELL_CSV_HEADER),
-        ("sweep-event-rate", "theoretical event rate", sweep_event_rate, RATE_CSV_HEADER),
+    for name, quantity, sweep_fn in (
+        ("sweep-delta-t", "dense dwell time", sweep_dwell_time),
+        ("sweep-event-rate", "theoretical event rate", sweep_event_rate),
     ):
         sweep = sub.add_parser(name, help=f"{quantity} per sensor preset over a frequency range")
         sweep.add_argument("--f-min", type=float, default=50.0, help="lowest scan frequency in Hz")
         sweep.add_argument("--f-max", type=float, default=290.0, help="highest scan frequency in Hz")
         sweep.add_argument("--f-step", type=float, default=10.0, help="frequency step in Hz")
         sweep.add_argument("--out", type=Path, default=None, help="CSV output path (default: stdout)")
-        sweep.set_defaults(func=partial(_cmd_sweep, sweep_fn, header))
+        sweep.set_defaults(func=partial(_cmd_sweep, sweep_fn))
 
     compare = sub.add_parser("compare-sampling", parents=[run_args],
                              help="dense vs sparse vs event-guided on one scenario")
@@ -102,16 +107,17 @@ def _cmd_simulate(args) -> int:
     scenario = _load_with_overrides(args)
     out_dir = args.out_dir or scenario.out_dir or Path("evsl_out") / scenario.name
     reports = run_scenario(scenario, parallel=args.parallel, dump=args.dump, out_dir=out_dir)
-    mean_fraction = sum(r.mask_fraction for r in reports) / len(reports)
+    steady = steady_periods(reports)  # as compare-sampling averages
+    mean_fraction = sum(r.mask_fraction for r in steady) / len(steady)
     print(f"ran {len(reports)} scan period(s) of '{scenario.name}' (seed {scenario.seed})")
-    print(f"mean mask fraction {mean_fraction:.4f} -> "
+    print(f"mean mask fraction {mean_fraction:.4f} over periods {steady[0].period}+ -> "
           f"{100 * (1 - mean_fraction):.1f}% illumination reduction vs dense")
     print(f"wrote {Path(out_dir) / 'periods.csv'}")
     return 0
 
 
-def _cmd_sweep(sweep_fn, header, args) -> int:
-    _emit_rows(sweep_fn(frequencies_hz=_frequencies(args)), header, args.out)
+def _cmd_sweep(sweep_fn, args) -> int:
+    _emit_rows(sweep_fn(frequencies_hz=_frequencies(args)), args.out)
     return 0
 
 
@@ -119,10 +125,10 @@ def _cmd_compare(args) -> int:
     scenario = _load_with_overrides(args)
     out_dir = args.out_dir or scenario.out_dir
     rows = compare_sampling(scenario, parallel=args.parallel)
-    _emit_rows(rows, COMPARE_CSV_HEADER, None)
+    _emit_rows(rows, None)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _emit_rows(rows, COMPARE_CSV_HEADER, Path(out_dir) / "compare_sampling.csv")
+        _emit_rows(rows, Path(out_dir) / "compare_sampling.csv")
     return 0
 
 

@@ -12,7 +12,7 @@
 - Point clouds: ASCII PLY with float32 x/y/z properties.
 - Tables: UTF-8 CSV with a header row; floats printed with %.9g so repeated
   runs are byte-identical; ``write_csv`` renders every table, to a file or
-  to stdout, so the two hold the same bytes.
+  to stdout alike, under the columns :mod:`evsl.harness` declares.
 
 The event writer works 65,536 events at a time. When every timestamp is a
 non-negative integer below 2**63 (no ``-0.0``), it builds each event as a
@@ -168,7 +168,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(out: str | os.PathLike | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(out: str | os.PathLike | TextIO, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write a header line, then one line per row, to a path or to an open text stream such as stdout."""
     if isinstance(out, (str, os.PathLike)):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,7 +5,9 @@ one camera-projector rig and one sampling policy, then steps through scan
 periods. Guide events observed during period p-1 choose the illumination mask
 for period p (the tightest causal choice); the first period falls back to a
 dense or sparse mask per the policy config. Everything downstream of the seed
-is deterministic, and all cross-stage handoff is by immutable value.
+is deterministic, and all cross-stage handoff is by immutable value. Each
+table's columns are declared once, by the :class:`PeriodReport` fields or the
+keys of the rows returned here; every run mean covers :func:`steady_periods`.
 
 A period has a policy-independent guide stage (:func:`_guide_period`) and a
 period stage (:func:`run_period`, mask to plane fit). With ``parallel=True`` a
@@ -19,7 +21,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -56,18 +58,15 @@ class PeriodReport:
     period: int
     active_pixel_fraction: float
     mask_fraction: float
-    guide_event_rate: float       # events/second over the period window
-    reflection_event_rate: float  # events/second emitted by the camera
+    guide_event_rate: float = field(metadata={"unit": "ev_s"})       # events/second over the period window
+    reflection_event_rate: float = field(metadata={"unit": "ev_s"})  # events/second emitted by the camera
     valid_depth_pixels: int
     plane_rms_m: float | None
     power_proxy: float
     error: str | None = None
 
 
-PERIOD_CSV_HEADER = [
-    "period", "active_pixel_fraction", "mask_fraction", "guide_event_rate_ev_s", "reflection_event_rate_ev_s",
-    "valid_depth_pixels", "plane_rms_m", "power_proxy", "error",
-]
+PERIOD_CSV_HEADER = [f"{f.name}_{f.metadata['unit']}" if "unit" in f.metadata else f.name for f in fields(PeriodReport)]
 
 
 def _resample_depth(depth_map: DepthMap, resolution: tuple[int, int]) -> DepthMap:
@@ -264,27 +263,25 @@ def run_scenario(
     return reports
 
 
+def steady_periods(reports: Sequence[PeriodReport]) -> Sequence[PeriodReport]:
+    """Periods 1+, or a one-period run's only one: every run mean skips the event-guided fallback in period 0."""
+    return reports[1:] if len(reports) > 1 else reports
+
+
 def _mean(values: Iterable[float]) -> float | None:
     values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
-
-
-COMPARE_CSV_HEADER = [
-    "policy", "mean_mask_fraction", "mean_reflection_rate_ev_s", "mean_plane_rms_m", "mean_valid_depth_pixels",
-    "power_reduction_vs_dense_pct",
-]
 
 
 def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
     """Run dense, sparse, and event-guided policies over identical seeds; one row each.
 
     The sparse stride mirrors the event-guided background stride so the two
-    share a noise floor. Aggregates skip the first period (the event-guided
-    policy has no guidance yet and runs its fallback there); a single-period
-    scenario aggregates that period as-is. The three policies share one guide
-    stage and one scene render per period; ``parallel`` runs as in
-    :func:`run_scenario`, with identical rows. The CLI, not this function,
-    writes them to ``compare_sampling.csv``.
+    share a noise floor. Aggregates cover :func:`steady_periods`. The three
+    policies share one guide stage and one scene render per period;
+    ``parallel`` runs as in :func:`run_scenario`, with identical rows. Each
+    row's keys, in order, are the columns of ``compare_sampling.csv``, which
+    the CLI, not this function, writes.
     """
     guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
     policies = {"dense": DensePolicy(), "sparse": SparsePolicy(stride=guided.background_stride), "event_guided": guided}
@@ -293,7 +290,7 @@ def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
 
     rows = []
     for name, reports in zip(policies, zip(*per_period)):
-        steady = reports[1:] if len(reports) > 1 else reports
+        steady = steady_periods(reports)
         mask_fraction = _mean(r.mask_fraction for r in steady)
         rows.append({
             "policy": name,
@@ -304,10 +301,6 @@ def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
             "power_reduction_vs_dense_pct": 100.0 * (1.0 - mask_fraction),
         })
     return rows
-
-
-DWELL_CSV_HEADER = ["preset", "f_hz", "delta_t_s", "below_1us"]
-RATE_CSV_HEADER = ["preset", "f_hz", "event_rate_ev_s"]
 
 
 def sweep_dwell_time(frequencies_hz: Iterable[float]) -> list[dict]:

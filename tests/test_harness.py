@@ -17,6 +17,7 @@ import evsl
 from evsl import harness
 from evsl.cli import main as cli_main
 from evsl.events import DepthMap, EventStream
+from evsl.formats import format_cell
 from evsl.projector import SENSOR_PRESETS
 from evsl.harness import (
     DUMP_KINDS,
@@ -715,6 +716,52 @@ class TestCli:
         *table, wrote = capsys.readouterr().out.splitlines(keepends=True)
         assert wrote == f"wrote {out_dir / 'compare_sampling.csv'}\n"
         assert (out_dir / "compare_sampling.csv").read_bytes() == "".join(table).encode()
+
+    @pytest.mark.parametrize("command", ["sweep-delta-t", "sweep-event-rate", "compare-sampling"])
+    def test_table_columns_are_the_row_keys(self, tmp_path, capsys, command):
+        # the header is the first row's keys in order, and every value of every row reaches stdout and the file
+        if command == "compare-sampling":
+            path = scenario_yaml(tmp_path)
+            rows = compare_sampling(load_scenario(path, {"periods": 2}))
+            args, target = [str(path), "--periods", "2"], tmp_path / "out" / "compare_sampling.csv"
+            to_file = [*args, "--out-dir", str(target.parent)]
+        else:
+            rows = {"sweep-delta-t": sweep_dwell_time, "sweep-event-rate": sweep_event_rate}[command]([60.0, 70.0])
+            args, target = ["--f-min", "60", "--f-max", "70"], tmp_path / "sweep.csv"
+            to_file = [*args, "--out", str(target)]
+        assert all(list(row) == list(rows[0]) for row in rows)
+        table = "".join(",".join(map(format_cell, line)) + "\n" for line in [rows[0], *(r.values() for r in rows)])
+        assert cli_main([command, *args]) == 0
+        assert capsys.readouterr().out == table
+        assert cli_main([command, *to_file]) == 0
+        assert target.read_text() == table
+
+    def test_simulate_summary_is_the_compare_sampling_reduction(self, tmp_path, capsys):
+        # period 0 runs the dense fallback, so a mean over every period would read far below the steady state
+        path = scenario_yaml(tmp_path)
+        path.write_text(path.read_text().replace("first_period: sparse", "first_period: dense"))
+        rows = {r["policy"]: r for r in compare_sampling(load_scenario(path))}
+        assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out.splitlines()[1]
+        pct = rows["event_guided"]["power_reduction_vs_dense_pct"]
+        assert summary.endswith(f" over periods 1+ -> {pct:.1f}% illumination reduction vs dense")
+
+    @pytest.mark.parametrize("command", ["sweep-delta-t", "sweep-event-rate"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--f-min", "nan", "must be finite, got nan"),
+        ("--f-min", "-inf", "must be finite, got -inf"),
+        ("--f-max", "inf", "must be finite, got inf"),
+        ("--f-step", "nan", "must be finite, got nan"),
+        ("--f-step", "1e-300", "1e-300 no longer changes the frequency at 50.0 Hz"),
+        ("--f-step", "1", "1.0 no longer changes the frequency at 1e+300 Hz"),
+    ])
+    def test_frequency_flag_that_yields_no_finite_range_exits_2(self, capsys, command, flag, value, message):
+        # a non-finite bound or a step too small to move the frequency would print nothing, or never end
+        extra = ["--f-min=1e300", "--f-max=2e300"] if value == "1" else []
+        assert cli_main([command, *extra, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {message}\n"
+        assert captured.out == ""
 
     def test_closed_stdout_exits_1_quietly(self):
         # about 6 MB of rows, far more than a pipe buffer holds, so writes go on after the reader has gone
