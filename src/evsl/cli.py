@@ -30,14 +30,21 @@ from .harness import (
 from .policy import active_pixel_fraction
 
 
+_MAX_FREQUENCIES = 1_000_000
+
+
 def _frequencies(args) -> list[float]:
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max), ("--f-step", args.f_step)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite, got {value}")
     if args.f_step <= 0 or args.f_max < args.f_min:
         raise ConfigError("invalid frequency range: need f_min <= f_max and f_step > 0")
-    out = []
     f = args.f_min
+    # counted before any is built; a step that cannot move f_min is refused by the loop instead
+    if (args.f_max + 1e-9 - f) / args.f_step >= _MAX_FREQUENCIES and f + args.f_step != f:
+        raise ConfigError(f"--f-step: {args.f_step} makes more than {_MAX_FREQUENCIES} frequencies "
+                          f"from {args.f_min} to {args.f_max} Hz")
+    out = []
     while f <= args.f_max + 1e-9:
         out.append(round(f, 9))
         if f + args.f_step == f:

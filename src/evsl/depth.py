@@ -7,6 +7,12 @@ planar targets are scored by total-least-squares plane fitting. Decode and
 back-projection address camera pixels by flat raster index ``y * W + x``
 and split it into row and column in int32. The decode writes validity for
 every occupied pixel, so a pixel that fails a check is written invalid.
+It decodes the occupied pixels in raster order, in blocks of at most
+``_DECODE_BLOCK``, and sums the tally over the blocks: the temporaries of a
+dense period then stay block-sized, and a period with at most one block of
+occupied pixels (every sparse and event-guided one of the bundled
+scenarios) runs a single pass. Each pixel's result does not depend on the
+block it falls in.
 
 Clouds are C-order ``(N, 3)`` arrays, worked on column by column rather
 than through numpy's 3-wide loops over rows. Back-projection writes x, y and
@@ -24,6 +30,9 @@ import numpy as np
 
 from .events import DepthMap, TimeSurface, _frozen, _row_col
 from .projector import ProjectorModel, SensorGeometry
+
+
+_DECODE_BLOCK = 1 << 15  # occupied pixels per decode pass: a dense period's temporaries stay block-sized
 
 
 class DegenerateInputError(ValueError):
@@ -92,15 +101,20 @@ def reconstruct_depth(
     valid = np.zeros(cam_w * cam_h, dtype=bool)
 
     flat = np.flatnonzero(surface.occupied)
-    ys, xs = _row_col(flat, cam_w)
-    rows, disparity = decode_projector_indices(np.take(surface.last_t, flat), projector, t0_us)
-    row_ok = np.abs(rows - ys) <= 1
-    disparity -= xs
-    ok = (disparity > 0) & row_ok
-    valid[flat] = ok
-    z = np.where(ok, disparity, np.inf)  # f * b is finite, so an invalid pixel gets f * b / inf = +0.0
-    depth[flat] = np.divide(geometry.focal_length_px * geometry.baseline_m, z, out=z)
-    n_ok, n_row_ok = int(np.count_nonzero(ok)), int(np.count_nonzero(row_ok))
+    fb = geometry.focal_length_px * geometry.baseline_m  # finite, so an invalid pixel gets fb / inf = +0.0
+    n_ok = n_row_ok = 0
+    for i in range(0, len(flat), _DECODE_BLOCK):  # the last block may be short
+        block = flat[i:i + _DECODE_BLOCK]
+        ys, xs = _row_col(block, cam_w)
+        rows, disparity = decode_projector_indices(np.take(surface.last_t, block), projector, t0_us)
+        row_ok = np.abs(rows - ys) <= 1
+        disparity -= xs
+        ok = (disparity > 0) & row_ok
+        valid[block] = ok
+        z = np.where(ok, disparity, np.inf)
+        depth[block] = np.divide(fb, z, out=z)
+        n_ok += int(np.count_nonzero(ok))
+        n_row_ok += int(np.count_nonzero(row_ok))
     tally = {"no_event": cam_w * cam_h - len(flat), "row_mismatch": len(flat) - n_row_ok,
              "nonpositive_disparity": n_row_ok - n_ok, "valid": n_ok}
     return DepthMap(surface.resolution, depth.reshape(cam_h, cam_w), valid.reshape(cam_h, cam_w)), tally

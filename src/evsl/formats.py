@@ -84,14 +84,13 @@ def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | Non
         header = fh.readline().strip()
         if header != "t_us,x,y,p":
             raise ValueError(f"unexpected event stream header {header!r}")
-        start = fh.tell()
         # np.loadtxt only warns on a body without data, so look for it first.
         if not any(line.strip() for line in iter(fh.readline, "")):
             if resolution is None:
                 raise ValueError("resolution required for an empty stream file")
             return EventStream.empty(resolution)
-        fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    # given the path, loadtxt reads the file in its own chunks, faster than through the text handle
+    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8")
     if data.shape[1] != 4:
         raise ValueError(f"event lines must hold 4 fields t_us,x,y,p, got {data.shape[1]}")
     t, x, y, p = data.T
@@ -101,7 +100,10 @@ def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | Non
             raise ValueError(f"event field {name} must hold {info.dtype} integers")
     if resolution is None:
         resolution = (int(x.max()) + 1, int(y.max()) + 1)
-    return EventStream.from_arrays(resolution, t, x.astype(np.int32), y.astype(np.int32), p.astype(np.int8))
+    # the parsed rows, which ``column`` still views, are the read's largest array: freed before the sort's gathers
+    t, x, y, p = t.copy(), x.astype(np.int32), y.astype(np.int32), p.astype(np.int8)
+    del data, column
+    return EventStream.from_arrays(resolution, t, x, y, p)
 
 
 def write_pgm16(path: str | os.PathLike, values: np.ndarray) -> None:

@@ -276,7 +276,15 @@ def simulate_reflection_events(
     their time order, else by time) and the gathers run on whole arrays.
     The geometry and the noise chain work in place on the arrays they own, and
     the draws per firing are the same as computing each step in a new array.
-    Camera columns are handed to the stream as int32.
+
+    Each array is freed once nothing later reads it, so a dense period holds
+    little more than its landing set: the camera columns of the landing
+    firings are gathered, as int32, and the fired-size arrays freed before the
+    draws; the rows are gathered and the landing indices freed after them. On
+    the tick-key path the float ticks are freed before the sort, and the
+    sorted ticks are rebuilt as ``key[order] + min(n)``, exactly, since both
+    are integers. The sort order permutes the columns and rows and is freed
+    before the stream is built.
 
     Returns the time-sorted stream and a tally of discarded firings.
     """
@@ -297,6 +305,9 @@ def simulate_reflection_events(
     in_frame &= plan.rows < cam_h
     landed = np.flatnonzero(in_frame)
     n_landed = len(landed)
+    x = cam_col[landed]
+    del cam_col, in_frame  # nothing reads the fired-size arrays past here
+    x = x.astype(np.int32)  # integral: the stream then checks int32 coordinates in no extra pass
 
     t = plan.fire_t_us[landed]
     t += noise.latency_us
@@ -317,7 +328,9 @@ def simulate_reflection_events(
                 np.greater_equal(_keyed_uniforms(h, stream=3), noise.drop_probability, out=kept[i:j])
             del h  # freed before the next block's hash and before the sort
         if drops:
-            landed, t = landed[kept], t[kept]
+            landed, t, x = landed[kept], t[kept], x[kept]
+    y = plan.rows[landed]
+    del landed
     if noise.quantization_us > 0:
         # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
         # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
@@ -327,16 +340,19 @@ def simulate_reflection_events(
     np.maximum(t, 0.0, out=t)
     lo = t.min(initial=np.inf)
     tick_key = noise.quantization_us > 0 and t.max(initial=0.0) - lo <= 0xFFFF
-    order = np.argsort((t - lo).astype(np.uint16) if tick_key else t, kind="stable")
+    if tick_key:
+        t -= lo
+        t = t.astype(np.uint16)  # the sort key; the float ticks are freed before the sort
+    order = np.argsort(t, kind="stable")
     t = t[order]
+    x = x[order]
+    y = y[order]
+    del order
+    if tick_key:
+        t = t + lo  # the sorted ticks n, exactly: integers that add without rounding
     if noise.quantization_us > 0:
         t *= noise.quantization_us
 
-    tally = {"fired": len(plan), "emitted": len(landed), "invalid_depth": invalid_depth,
-             "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(landed)}
-    landed = landed[order]
-    x, y, p = cam_col[landed], plan.rows[landed], np.ones(len(t), np.int8)
-    # x is integral: cast here, so the stream checks int32 coordinates in no extra pass. The float
-    # gather lives through the call, as when the stream cast it: freeing it first raised the
-    # peak memory of threaded runs by a few MB.
-    return EventStream(geometry.cam_resolution, t, x.astype(np.int32), y, p), tally
+    tally = {"fired": len(plan), "emitted": len(t), "invalid_depth": invalid_depth,
+             "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(t)}
+    return EventStream(geometry.cam_resolution, t, x, y, np.ones(len(t), np.int8)), tally

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,16 +251,27 @@ class TestDecodeMatchesOracle:
     @settings(max_examples=300)
     @given(decode_cases())
     def test_property(self, case):
-        surface, depth_map, geometry, projector, t0 = case
-        got, got_tally = reconstruct_depth(surface, geometry, projector, t0)
-        want, want_tally = _oracle_reconstruct_depth(surface, geometry, projector, t0)
-        assert list(got_tally.items()) == list(want_tally.items())
-        assert all(type(v) is int for v in got_tally.values())
-        assert_same_bytes(got.depth, want.depth, "depth")
-        assert_same_bytes(got.valid, want.valid, "valid")
-        for decoded in (got, depth_map):
-            got_xyz = depth_to_points(decoded, geometry).xyz
-            assert_same_bytes(got_xyz, _oracle_depth_to_points(decoded, geometry).xyz, "xyz")
+        assert_decode_matches_oracle(*case)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=100)
+    @given(case=decode_cases())
+    def test_property_at_block_size(self, block, case):
+        # up to 80 occupied pixels: block sizes this small put many block edges in every case
+        with mock.patch("evsl.depth._DECODE_BLOCK", block):
+            assert_decode_matches_oracle(*case)
+
+
+def assert_decode_matches_oracle(surface, depth_map, geometry, projector, t0):
+    got, got_tally = reconstruct_depth(surface, geometry, projector, t0)
+    want, want_tally = _oracle_reconstruct_depth(surface, geometry, projector, t0)
+    assert list(got_tally.items()) == list(want_tally.items())
+    assert all(type(v) is int for v in got_tally.values())
+    assert_same_bytes(got.depth, want.depth, "depth")
+    assert_same_bytes(got.valid, want.valid, "valid")
+    for decoded in (got, depth_map):
+        got_xyz = depth_to_points(decoded, geometry).xyz
+        assert_same_bytes(got_xyz, _oracle_depth_to_points(decoded, geometry).xyz, "xyz")
 
 
 def _parent_decode_projector_indices(t_us: np.ndarray, projector: ProjectorModel, t0_us: float):

@@ -55,7 +55,9 @@ def tiny_scenario(policy=None, periods=3, noise=None, seed=5, objects=None):
 
 
 def scenario_yaml(tmp_path, **overrides):
-    text = textwrap.dedent("""\
+    """The tiny scenario as a YAML file. Each keyword names a section: a mapping
+    updates that section's keys, and None drops the section, so it takes its defaults."""
+    mapping = yaml.safe_load(textwrap.dedent("""\
         scene:
           resolution: [64, 48]
           background:
@@ -82,9 +84,14 @@ def scenario_yaml(tmp_path, **overrides):
         run:
           periods: 3
           seed: 5
-    """)
+    """))
+    for section, values in overrides.items():
+        if values is None:
+            del mapping[section]
+        else:
+            mapping[section].update(values)
     path = tmp_path / "tiny.yaml"
-    path.write_text(text)
+    path.write_text(yaml.safe_dump(mapping, sort_keys=False))
     return path
 
 
@@ -738,8 +745,7 @@ class TestCli:
 
     def test_simulate_summary_is_the_compare_sampling_reduction(self, tmp_path, capsys):
         # period 0 runs the dense fallback, so a mean over every period would read far below the steady state
-        path = scenario_yaml(tmp_path)
-        path.write_text(path.read_text().replace("first_period: sparse", "first_period: dense"))
+        path = scenario_yaml(tmp_path, policy={"first_period": "dense"})
         rows = {r["policy"]: r for r in compare_sampling(load_scenario(path))}
         assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
         summary = capsys.readouterr().out.splitlines()[1]
@@ -761,6 +767,14 @@ class TestCli:
         assert cli_main([command, *extra, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep-delta-t", "sweep-event-rate"])
+    def test_frequency_range_past_a_million_exits_2(self, capsys, command):
+        # 240 million frequencies from 50 to 290 Hz: counted and refused before any is built
+        assert cli_main([command, "--f-step", "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --f-step: 1e-06 makes more than 1000000 frequencies from 50.0 to 290.0 Hz\n"
         assert captured.out == ""
 
     def test_closed_stdout_exits_1_quietly(self):
@@ -785,9 +799,7 @@ class TestCli:
         assert out.strip() == f"active_pixel_fraction {1 / 256:.6g}"
 
     def test_seed_override_changes_output(self, tmp_path):
-        path = scenario_yaml(tmp_path)
-        # default timing noise (jitter and clock), so the seed reaches the output
-        path.write_text(path.read_text().replace("  jitter_anchors: []\n  quantization_us: 0.0\n", ""))
+        path = scenario_yaml(tmp_path, noise=None)  # default timing noise (jitter and clock): the seed reaches the output
         runs = {}
         for name, extra in (("file", []), ("a", ["--seed", "1"]), ("b", ["--seed", "1"])):
             assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / name), *extra]) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsl import harness, projector
-from evsl.events import DepthMap, EventStream
+from evsl.depth import reconstruct_depth
+from evsl.events import DepthMap, EventStream, make_time_surface
 from evsl.policy import DensePolicy, IlluminationMask, SparsePolicy, build_mask
 from evsl.projector import (
     DEFAULT_JITTER_ANCHORS,
@@ -603,6 +605,30 @@ def test_blocked_noise_matches_parent_on_dense_bundled_period(moving_object_peri
     assert got_tally["emitted"] + got_tally["dropped"] > 9 * projector._NOISE_BLOCK  # ten blocks of landing keys
     assert list(got_tally.items()) == list(want_tally.items())
     assert_same_stream(got, want)
+
+
+def peak_above_entry(fn, *args):
+    """``fn(*args)`` and the most memory it held at once above what was allocated at entry, in bytes."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_bundled_period_peak_memory(moving_object_period_0):
+    # each fired-size array is freed once nothing reads it, and the decode runs in blocks: about 25 and
+    # 23 bytes, where whole-array passes held about 51 per fired slot and 52 per camera pixel
+    sc, plan, depth = moving_object_period_0
+    (stream, _), reflect_peak = peak_above_entry(
+        simulate_reflection_events, plan, depth, sc.geometry, sc.noise, 0, sc.seed)
+    assert reflect_peak <= 32 * len(plan)
+    w0, w1 = harness._window(sc, 0)
+    surface = make_time_surface(stream, (w0, w1))
+    _, decode_peak = peak_above_entry(reconstruct_depth, surface, sc.geometry, sc.projector, w0)
+    assert decode_peak <= 32 * surface.last_t.size
 
 
 def assert_same_stream(got, want):
