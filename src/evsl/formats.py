@@ -25,6 +25,7 @@ would.
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
@@ -84,13 +85,26 @@ def read_event_stream(path: str | os.PathLike, resolution: tuple[int, int] | Non
         header = fh.readline().strip()
         if header != "t_us,x,y,p":
             raise ValueError(f"unexpected event stream header {header!r}")
-        # np.loadtxt only warns on a body without data, so look for it first.
-        if not any(line.strip() for line in iter(fh.readline, "")):
-            if resolution is None:
-                raise ValueError("resolution required for an empty stream file")
-            return EventStream.empty(resolution)
-    # given the path, loadtxt reads the file in its own chunks, faster than through the text handle
-    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8")
+        # One pass over the body looks for data, since np.loadtxt only warns on a body
+        # without any, and counts its lines. Told that count, loadtxt allocates its rows
+        # once. Left to grow them, it reallocates, and a realloc that cannot extend in place
+        # holds the old and the new buffer at once, so the read's peak memory would depend
+        # on the heap layout.
+        lines, blank, empty_line, last = 0, True, False, "\n"
+        for chunk in iter(partial(fh.read, 1 << 16), ""):
+            lines += chunk.count("\n")
+            blank = blank and chunk.isspace()
+            empty_line = empty_line or "\n\n" in chunk or last == chunk[0] == "\n"
+            last = chunk[-1]
+    if blank:
+        if resolution is None:
+            raise ValueError("resolution required for an empty stream file")
+        return EventStream.empty(resolution)
+    # Given the path, loadtxt reads the file in its own chunks, faster than through the text
+    # handle. It skips empty lines but warns that they do not count toward max_rows, so a
+    # body with one is read without the count.
+    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8",
+                      max_rows=None if empty_line else lines + (last != "\n"))
     if data.shape[1] != 4:
         raise ValueError(f"event lines must hold 4 fields t_us,x,y,p, got {data.shape[1]}")
     t, x, y, p = data.T

@@ -137,6 +137,30 @@ class TestEventStreamText:
                     read_event_stream(path)
             assert len(stream) == 0 and stream.resolution == (5, 3)
 
+    @pytest.mark.parametrize("layout", ["no_final_newline", "crlf", "cr", "empty_lines", "empty_line_past_first_read",
+                                        "out_of_order"])
+    def test_line_layouts_the_writer_never_makes(self, tmp_path, layout):
+        # The reader counts the body's lines to bound loadtxt's rows and reads a body with an
+        # empty line without that bound.
+        events = [(1.0, 1, 2, 1)] * 6552 + [(1000000.0, 1, 2, 1), (1000000.5, 3, 0, -1), (2000000.0, 0, 1, 1)]
+        lines = [f"{t},{x},{y},{p}" for t, x, y, p in events]
+        body = "\n".join(lines) + "\n"
+        assert len(body) - len(lines[-1]) - len(lines[-2]) - 2 == 65536  # the first read ends after line 6553
+        body = {
+            "no_final_newline": body[:-1],
+            "crlf": body.replace("\n", "\r\n"),
+            "cr": body.replace("\n", "\r"),
+            "empty_lines": "\n" + body.replace("\n1000000.5", "\n\n1000000.5") + "\n\n",
+            "empty_line_past_first_read": body.replace("\n1000000.5", "\n\n1000000.5"),
+            "out_of_order": "\n".join([lines[-1]] + lines[:-1]) + "\n",
+        }[layout]
+        path = tmp_path / "events.txt"
+        path.write_bytes(("t_us,x,y,p\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_event_stream(path)
+        assert_same_stream(got, EventStream.from_arrays((4, 3), *(np.array(c) for c in zip(*events))))
+
     def test_resolution_inferred(self, tmp_path):
         stream = EventStream((10, 10), [1.0], [9], [4], [-1])
         path = tmp_path / "infer.txt"
