@@ -39,18 +39,13 @@ def _frequencies(args) -> list[float]:
             raise ConfigError(f"{flag}: must be finite, got {value}")
     if args.f_step <= 0 or args.f_max < args.f_min:
         raise ConfigError("invalid frequency range: need f_min <= f_max and f_step > 0")
-    f = args.f_min
-    # counted before any is built; a step that cannot move f_min is refused by the loop instead
-    if (args.f_max + 1e-9 - f) / args.f_step >= _MAX_FREQUENCIES and f + args.f_step != f:
+    if args.f_max + args.f_step == args.f_max:
+        raise ConfigError(f"--f-step: {args.f_step} no longer changes the frequency at {args.f_max} Hz")
+    steps = (args.f_max + 1e-9 - args.f_min) / args.f_step  # counted before any is built
+    if steps >= _MAX_FREQUENCIES:
         raise ConfigError(f"--f-step: {args.f_step} makes more than {_MAX_FREQUENCIES} frequencies "
                           f"from {args.f_min} to {args.f_max} Hz")
-    out = []
-    while f <= args.f_max + 1e-9:
-        out.append(round(f, 9))
-        if f + args.f_step == f:
-            raise ConfigError(f"--f-step: {args.f_step} no longer changes the frequency at {f} Hz")
-        f += args.f_step
-    return out
+    return [round(args.f_min + i * args.f_step, 9) for i in range(math.floor(steps) + 1)]
 
 
 def _emit_rows(rows, out_path) -> None:

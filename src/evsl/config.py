@@ -1,11 +1,14 @@
 """Scenario files: a field table per section and one reader for all of them.
 
-A section is a ``(build, fields)`` pair: ``fields`` maps each accepted key to
-a ``(check, default)`` row (``_REQUIRED`` marks a key without a default), and
-``build`` receives the checked values as keyword arguments. A check takes the
-field path and the value (the default when the key is absent) and returns the
-value to build with; its errors read ``<field path>: <problem>``. Bounds are
-the built value type's, read as ``<section path>: <its message>``.
+A section is a ``(build, fields)`` pair: ``fields`` maps each key to a
+``(check, default)`` row, and ``build`` takes the checked values as keywords.
+A check takes the field path and the value (or a literal default) and
+returns the value to build with; its errors read ``<field path>: <problem>``.
+Bounds are the built value type's, read as ``<section path>: <its message>``.
+A ``_REQUIRED`` key has no default; an absent ``_DECLARED`` one is left out,
+so the built type's own default applies. Six literals repeat a type's default
+as no built field bears their key: ``texture``, ``velocity_px_per_us``,
+``scan_frequency_hz`` and run's ``seed``, ``evaluate_plane``, ``out_dir``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _run_duration(periods: int, period_us: float) -> float:
     return duration
 
 
-_REQUIRED = object()
+_REQUIRED, _DECLARED = object(), object()  # no default; the built value type's own default
 
 
 def _read(spec, path: str, mapping):
@@ -83,7 +86,8 @@ def _read(spec, path: str, mapping):
         value = mapping.get(key, default)
         if value is _REQUIRED:
             raise ConfigError(f"{key_path}: missing required key")
-        values[key] = check(key_path, value)
+        if value is not _DECLARED:
+            values[key] = check(key_path, value)
     unknown = sorted(f"{path}.{k}" if path else str(k) for k in mapping if k not in fields)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
@@ -195,15 +199,15 @@ def _policy(path, value):
 
 _TEXTURE = (lambda kind, **values: CheckerTexture(**values), {
     "kind": (_choice("checker"), _REQUIRED),
-    "tile_px": (_INTEGER, 16),
-    "low": (_NUMBER, 0.4),
-    "high": (_NUMBER, 0.6),
+    "tile_px": (_INTEGER, _DECLARED),
+    "low": (_NUMBER, _DECLARED),
+    "high": (_NUMBER, _DECLARED),
 })
 
 _BACKGROUND = (lambda texture, **values: Background(checker=texture, **values), {
     "texture": (_section(_TEXTURE, absent=None), None),
     "depth_m": (_NUMBER, _REQUIRED),
-    "intensity": (_NUMBER, 0.5),
+    "intensity": (_NUMBER, _DECLARED),
 })
 
 _OBJECT = (
@@ -212,26 +216,26 @@ _OBJECT = (
         "rect_px": (_rect, _REQUIRED),
         "velocity_px_per_us": (_pair(integer=False), [0, 0]),
         "depth_m": (_NUMBER, _REQUIRED),
-        "intensity": (_NUMBER, 0.9),
+        "intensity": (_NUMBER, _DECLARED),
     },
 )
 
 _SCENE_FIELDS = {
     "resolution": (_pair(integer=True), _REQUIRED),
     "background": (_section(_BACKGROUND), None),
-    "objects": (_list_of(partial(_read, _OBJECT)), []),
+    "objects": (_list_of(partial(_read, _OBJECT)), _DECLARED),
 }
 
 _POLICIES = {
     "dense": (DensePolicy, {}),
-    "sparse": (SparsePolicy, {"stride": (_INTEGER, 16)}),
+    "sparse": (SparsePolicy, {"stride": (_INTEGER, _DECLARED)}),
     "event_guided": (EventGuidedPolicy, {
-        "median_kernel_px": (_INTEGER, 3),
-        "active_threshold": (_INTEGER, 1),
-        "min_area_px": (_INTEGER, 4),
-        "dilation_px": (_INTEGER, 4),
-        "background_stride": (_INTEGER, 16),
-        "first_period": (_choice("dense", "sparse"), "dense"),
+        "median_kernel_px": (_INTEGER, _DECLARED),
+        "active_threshold": (_INTEGER, _DECLARED),
+        "min_area_px": (_INTEGER, _DECLARED),
+        "dilation_px": (_INTEGER, _DECLARED),
+        "background_stride": (_INTEGER, _DECLARED),
+        "first_period": (_choice("dense", "sparse"), _DECLARED),
     }),
 }
 _POLICY_KINDS = tuple(_POLICIES)  # compared by ==: a YAML list or mapping is not hashable
@@ -248,18 +252,18 @@ _SCENARIO = (dict, {
         "cam_resolution": (_pair(integer=True), _REQUIRED),
         "proj_resolution": (_pair(integer=True), _REQUIRED),
         "focal_length_px": (_NUMBER, _REQUIRED),
-        "baseline_m": (_NUMBER, 0.04),
+        "baseline_m": (_NUMBER, _DECLARED),
     })), None),
     "guide_camera": (_section((GuideCameraModel, {
-        "contrast_threshold": (_NUMBER, 0.3),
-        "render_rate_hz": (_NUMBER, 1000.0),
-        "noise_rate_hz": (_NUMBER, 0.0),
+        "contrast_threshold": (_NUMBER, _DECLARED),
+        "render_rate_hz": (_NUMBER, _DECLARED),
+        "noise_rate_hz": (_NUMBER, _DECLARED),
     }), absent=GuideCameraModel()), None),
     "noise": (_section((NoiseModel, {
-        "latency_us": (_NUMBER, 0.0),
-        "jitter_anchors": (_list_of(_anchor, absent=DEFAULT_JITTER_ANCHORS), None),
-        "drop_probability": (_NUMBER, 0.0),
-        "quantization_us": (_NUMBER, 1.0),
+        "latency_us": (_NUMBER, _DECLARED),
+        "jitter_anchors": (_list_of(_anchor, absent=DEFAULT_JITTER_ANCHORS), _DECLARED),
+        "drop_probability": (_NUMBER, _DECLARED),
+        "quantization_us": (_NUMBER, _DECLARED),
     }), absent=NoiseModel()), None),
     "policy": (_policy, None),
     "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration default needs run and projector

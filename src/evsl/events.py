@@ -198,7 +198,8 @@ class VoxelGrid:
 class DepthMap:
     """Per-pixel metric depth in meters plus a validity flag.
 
-    Valid pixels must carry strictly positive, finite depth.
+    Valid pixels carry strictly positive, finite depth. The type leaves this unchecked: ``render_scene``,
+    ``reconstruct_depth`` and ``decode_log_depth`` build maps that meet it; ``encode_log_depth`` rejects others.
     """
 
     resolution: tuple[int, int]

@@ -130,8 +130,8 @@ def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSe
 def _mask_for_period(scenario: Scenario, prev_rois: RoiSet | None):
     """Illumination mask from the previous period's guide ROIs (None in period 0: the event-guided fallback)."""
     policy = scenario.policy
-    if prev_rois is None and isinstance(policy, EventGuidedPolicy):
-        policy = DensePolicy() if policy.first_period == "dense" else SparsePolicy(policy.background_stride)
+    if prev_rois is None and isinstance(policy, EventGuidedPolicy) and policy.first_period == "dense":
+        policy = DensePolicy()  # under first_period: sparse, build_mask gives the stride when no regions exist
     proj_res = scenario.projector.resolution
     scene_w, scene_h = scenario.script.resolution
     scale = (proj_res[0] / scene_w, proj_res[1] / scene_h)

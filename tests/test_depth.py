@@ -251,7 +251,10 @@ class TestDecodeMatchesOracle:
     @settings(max_examples=300)
     @given(decode_cases())
     def test_property(self, case):
-        assert_decode_matches_oracle(*case)
+        decoded = assert_decode_matches_oracle(*case)
+        # the DepthMap contract, which the type leaves to its producers: valid pixels carry finite depth above 0
+        depth = decoded.depth[decoded.valid]
+        assert np.all((depth > 0) & np.isfinite(depth))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @settings(max_examples=100)
@@ -272,6 +275,7 @@ def assert_decode_matches_oracle(surface, depth_map, geometry, projector, t0):
     for decoded in (got, depth_map):
         got_xyz = depth_to_points(decoded, geometry).xyz
         assert_same_bytes(got_xyz, _oracle_depth_to_points(decoded, geometry).xyz, "xyz")
+    return got
 
 
 def _parent_decode_projector_indices(t_us: np.ndarray, projector: ProjectorModel, t0_us: float):

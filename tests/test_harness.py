@@ -276,6 +276,37 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=r"^run\.periods: must be at least 1$"):
             replace(sc, periods=0)
 
+    def test_omitted_keys_follow_the_value_types_defaults(self, monkeypatch):
+        # a default is declared once, on the value type: change the declaration and the parser follows it
+        for cls, name, value in ((evsl.EventGuidedPolicy, "median_kernel_px", 5),
+                                 (evsl.GuideCameraModel, "contrast_threshold", 0.25)):
+            defaults = dict(zip([f.name for f in fields(cls)], cls.__init__.__defaults__))  # every field has one
+            monkeypatch.setattr(cls.__init__, "__defaults__", tuple({**defaults, name: value}.values()))
+        sc = parse_scenario({**MINIMAL_CONFIG, "policy": {"kind": "event_guided"}, "guide_camera": {}})
+        assert sc.policy.median_kernel_px == 5
+        assert sc.guide_camera.contrast_threshold == 0.25
+
+    def test_readme_scenario_block_states_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = yaml.safe_load(readme.split("## Scenario files", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0])
+        # illustrative, not defaults: the rounded duration, the optional texture and the sparse-only stride
+        del block["scene"]["duration_us"]
+        texture = block["scene"]["background"].pop("texture")
+        stride = block["policy"].pop("stride")
+        required = {
+            "scene": {"resolution": block["scene"]["resolution"],
+                      "background": {"depth_m": block["scene"]["background"]["depth_m"]}},
+            "geometry": {key: block["geometry"][key]
+                         for key in ("cam_resolution", "proj_resolution", "focal_length_px")},
+            "projector": {},
+            "policy": {"kind": block["policy"]["kind"]},
+            "run": {},
+        }
+        assert parse_scenario(block) == parse_scenario(required)
+        assert texture.pop("kind") == "checker"
+        assert evsl.CheckerTexture(**texture) == evsl.CheckerTexture()
+        assert stride == evsl.SparsePolicy().stride
+
     def test_shipped_scenarios_load(self):
         for name in ("plane_compare", "moving_object", "stationary", "noiseless_plane"):
             sc = load_scenario(SCENARIOS / f"{name}.yaml")
@@ -758,8 +789,8 @@ class TestCli:
         ("--f-min", "-inf", "must be finite, got -inf"),
         ("--f-max", "inf", "must be finite, got inf"),
         ("--f-step", "nan", "must be finite, got nan"),
-        ("--f-step", "1e-300", "1e-300 no longer changes the frequency at 50.0 Hz"),
-        ("--f-step", "1", "1.0 no longer changes the frequency at 1e+300 Hz"),
+        ("--f-step", "1e-300", "1e-300 no longer changes the frequency at 290.0 Hz"),
+        ("--f-step", "1", "1.0 no longer changes the frequency at 2e+300 Hz"),
     ])
     def test_frequency_flag_that_yields_no_finite_range_exits_2(self, capsys, command, flag, value, message):
         # a non-finite bound or a step too small to move the frequency would print nothing, or never end
@@ -776,6 +807,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: --f-step: 1e-06 makes more than 1000000 frequencies from 50.0 to 290.0 Hz\n"
         assert captured.out == ""
+
+    def test_sweep_grid_ends_at_f_max(self, capsys):
+        # 1 + 10,000 * 1.1 is 11001: a running sum of the step drifts below it and would stop at 10999.9
+        assert cli_main(["sweep-delta-t", "--f-min", "1", "--f-max", "11001", "--f-step", "1.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("Gen4_CD,11001,")
+        assert sum(line.startswith("Gen4_CD,") for line in lines) == 10_001
 
     def test_closed_stdout_exits_1_quietly(self):
         # about 6 MB of rows, far more than a pipe buffer holds, so writes go on after the reader has gone
