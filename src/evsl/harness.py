@@ -3,11 +3,11 @@
 A scenario (parsed from a YAML file by :mod:`evsl.config`) wires one scene to
 one camera-projector rig and one sampling policy, then steps through scan
 periods. Guide events observed during period p-1 choose the illumination mask
-for period p (the tightest causal choice); the first period falls back to a
-dense or sparse mask per the policy config. Everything downstream of the seed
-is deterministic, and all cross-stage handoff is by immutable value. Each
-table's columns are declared once, by the :class:`PeriodReport` fields or the
-keys of the rows returned here; every run mean covers :func:`steady_periods`.
+for period p (the tightest causal choice); in the first, :func:`build_mask`
+applies the policy's fallback. Everything downstream of the seed is
+deterministic, and all cross-stage handoff is by immutable value. Each table's
+columns are declared once, by the :class:`PeriodReport` fields or the keys of
+the rows returned here; every run mean covers :func:`steady_periods`.
 
 A period has a policy-independent guide stage (:func:`_guide_period`) and a
 period stage (:func:`run_period`, mask to plane fit). With ``parallel=True`` a
@@ -33,7 +33,7 @@ from .depth import DegenerateInputError, depth_to_points, fit_plane, reconstruct
 from .events import DepthMap, EventFrame, EventStream, make_event_frame, make_time_surface
 from .formats import write_csv, write_depth_pgm, write_event_stream, write_pbm, write_ply
 from .policy import (
-    DensePolicy, EventGuidedPolicy, IlluminationMask, RoiSet, SparsePolicy,
+    DensePolicy, EventGuidedPolicy, IlluminationMask, Policy, RoiSet, SparsePolicy,
     active_pixel_fraction, build_mask, detect_roi, median_filter_frame,
 )
 from .projector import (
@@ -127,35 +127,25 @@ def _guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float, RoiSe
     return stream, active, RoiSet(tuple((x0 + xa, y0 + ya, x1 + xa, y1 + ya) for x0, y0, x1, y1 in rois.boxes))
 
 
-def _mask_for_period(scenario: Scenario, prev_rois: RoiSet | None):
-    """Illumination mask from the previous period's guide ROIs (None in period 0: the event-guided fallback)."""
-    policy = scenario.policy
-    if prev_rois is None and isinstance(policy, EventGuidedPolicy) and policy.first_period == "dense":
-        policy = DensePolicy()  # under first_period: sparse, build_mask gives the stride when no regions exist
-    proj_res = scenario.projector.resolution
-    scene_w, scene_h = scenario.script.resolution
-    scale = (proj_res[0] / scene_w, proj_res[1] / scene_h)
-    return build_mask(policy, proj_res, prev_rois, scale)
-
-
 def run_period(
-    variants: Sequence[Scenario], p: int, guide: EventStream, active: float, prev_rois: RoiSet | None
+    scenario: Scenario, policies: Sequence[Policy], p: int, guide: EventStream, active: float, prev_rois: RoiSet | None
 ) -> list[PeriodResult]:
-    """Period ``p`` of one scene under each policy variant, rendered once at mid-period.
+    """Period ``p`` of ``scenario``'s rig under each of ``policies``, rendered once at mid-period.
 
-    Each variant runs mask, scan plan and reflection, then, with the render
+    Each policy runs mask, scan plan and reflection, then, with the render
     freed, time surface, decode and plane fit. ``guide`` and ``active`` come
     from this period's guide stage, ``prev_rois`` from the previous one's.
     Each tally must account for every firing and every camera pixel, and the
     decode's valid count for its map; a tally that does not is a programming
     error and raises RuntimeError.
     """
-    scene = variants[0]
-    w0, w1 = window = _window(scene, p)
-    proj_depth = _resample_depth(render_scene(scene.script, (w0 + w1) / 2.0), scene.projector.resolution)
+    w0, w1 = window = _window(scenario, p)
+    proj_res = scenario.projector.resolution
+    proj_depth = _resample_depth(render_scene(scenario.script, (w0 + w1) / 2.0), proj_res)
+    scale = (proj_res[0] / scenario.script.resolution[0], proj_res[1] / scenario.script.resolution[1])
     scans = []
-    for scenario in variants:
-        mask = _mask_for_period(scenario, prev_rois)
+    for policy in policies:
+        mask = build_mask(policy, proj_res, prev_rois, scale)
         plan = build_scan_plan(scenario.projector, mask, t0_us=w0)
         reflection, tally = simulate_reflection_events(plan, proj_depth, scenario.geometry, scenario.noise,
                                                        sequence=p, seed=scenario.seed)
@@ -166,9 +156,9 @@ def run_period(
         scans.append((mask, reflection))
     del proj_depth, plan  # two periods may be in flight: free what the decode does not use
 
-    period_s = scene.projector.period_us * 1e-6
+    period_s = scenario.projector.period_us * 1e-6
     results = []
-    for scenario, (mask, reflection) in zip(variants, scans):
+    for mask, reflection in scans:
         depth_map, tally = reconstruct_depth(make_time_surface(reflection, window),
                                              scenario.geometry, scenario.projector, w0)
         w, h = depth_map.resolution
@@ -203,19 +193,19 @@ def _in_order(submit, fn, *iterables) -> Iterator:
     yield from (future.result() for future in ahead)
 
 
-def _run_periods(variants: Sequence[Scenario], parallel: bool) -> Iterator[tuple[EventStream, list[PeriodResult]]]:
-    """Yield each period's guide stream and its results under every variant, in period order.
+def _run_periods(scenario: Scenario, policies: Sequence[Policy], parallel: bool) -> Iterator[tuple]:
+    """Yield each period's guide stream and its results under each of ``policies``, in period order.
 
-    The guide stage runs once, under the last variant. With ``parallel`` one
+    The guide stage runs once, under ``scenario.policy``. With ``parallel`` one
     2-worker thread pool runs the guide stage of every period and then whole
     periods; it stays two periods ahead, so finished periods do not pile up.
     """
-    last = variants[-1]
-    periods = range(last.periods)
+    periods = range(scenario.periods)
     with (ThreadPoolExecutor(max_workers=2) if parallel else nullcontext()) as pool:
         run = partial(_in_order, pool.submit) if parallel else map
-        streams, actives, rois = zip(*run(partial(_guide_period, last), periods))
-        yield from zip(streams, run(partial(run_period, variants), periods, streams, actives, (None, *rois[:-1])))
+        streams, actives, rois = zip(*run(partial(_guide_period, scenario), periods))
+        prev_rois = (None, *rois[:-1])
+        yield from zip(streams, run(partial(run_period, scenario, policies), periods, streams, actives, prev_rois))
 
 
 DUMP_KINDS = ("events", "masks", "depth", "ply")
@@ -243,7 +233,7 @@ def run_scenario(
         out_path.mkdir(parents=True, exist_ok=True)
 
     reports: list[PeriodReport] = []
-    for p, (guide, (result,)) in enumerate(_run_periods([scenario], parallel)):
+    for p, (guide, (result,)) in enumerate(_run_periods(scenario, (scenario.policy,), parallel)):
         reports.append(result.report)
         if out_dir is None:
             continue
@@ -273,6 +263,13 @@ def _mean(values: Iterable[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
+def _compare_policies(scenario: Scenario) -> tuple[Scenario, dict[str, Policy]]:
+    """``scenario`` under the event-guided policy its guide stage runs, and the compared policies by row name."""
+    guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
+    policies = {"dense": DensePolicy(), "sparse": SparsePolicy(stride=guided.background_stride), "event_guided": guided}
+    return replace(scenario, policy=guided), policies
+
+
 def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
     """Run dense, sparse, and event-guided policies over identical seeds; one row each.
 
@@ -283,10 +280,8 @@ def compare_sampling(scenario: Scenario, parallel: bool = False) -> list[dict]:
     row's keys, in order, are the columns of ``compare_sampling.csv``, which
     the CLI, not this function, writes.
     """
-    guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
-    policies = {"dense": DensePolicy(), "sparse": SparsePolicy(stride=guided.background_stride), "event_guided": guided}
-    variants = [replace(scenario, policy=policy) for policy in policies.values()]  # guide stage: last one's
-    per_period = [[r.report for r in results] for _, results in _run_periods(variants, parallel)]
+    rig, policies = _compare_policies(scenario)
+    per_period = [[r.report for r in results] for _, results in _run_periods(rig, tuple(policies.values()), parallel)]
 
     rows = []
     for name, reports in zip(policies, zip(*per_period)):

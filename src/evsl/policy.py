@@ -42,7 +42,7 @@ class EventGuidedPolicy:
     min_area_px: int = 4
     dilation_px: int = 4
     background_stride: int = 16
-    first_period: str = "dense"  # fallback while no guide events exist yet
+    first_period: str = "dense"  # build_mask's mask while no guide period has been seen (rois=None)
 
     def __post_init__(self):
         if self.median_kernel_px < 1 or self.median_kernel_px % 2 == 0:
@@ -205,13 +205,17 @@ def build_mask(
     (rectified, axis-aligned). For the event-guided policy, pixels inside any
     scaled region are on; elsewhere the background stride applies. A pixel on
     a region border is on (region membership wins over the stride pattern).
+    ``rois=None`` means no guide period yet: the event-guided policy then
+    lights every slot under ``first_period: dense`` (earlier versions gave the
+    stride; no caller used that) and, under ``sparse``, its background stride.
     """
     w, h = proj_resolution
-    if isinstance(policy, DensePolicy):
+    guided = isinstance(policy, EventGuidedPolicy)
+    if isinstance(policy, DensePolicy) or (guided and rois is None and policy.first_period == "dense"):
         on = np.ones((h, w), dtype=bool)
     elif isinstance(policy, SparsePolicy):
         on = _stride_mask(proj_resolution, policy.stride)
-    elif isinstance(policy, EventGuidedPolicy):
+    elif guided:
         on = _stride_mask(proj_resolution, policy.background_stride)
         for box in (rois.boxes if rois is not None else ()):
             x0, y0, x1, y1 = scale_roi(box, scale, proj_resolution)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,10 +16,8 @@ from evsl.depth import (
     reconstruct_depth,
 )
 from evsl.events import DepthMap, EventStream, TimeSurface, make_event_frame, make_time_surface
-from evsl.harness import _run_periods, _window, load_scenario
-from evsl.policy import (
-    DensePolicy, EventGuidedPolicy, IlluminationMask, SparsePolicy, active_pixel_fraction, build_mask,
-)
+from evsl.harness import _compare_policies, _run_periods, _window, load_scenario
+from evsl.policy import DensePolicy, IlluminationMask, active_pixel_fraction, build_mask
 from evsl.projector import (
     NoiseModel,
     ProjectorModel,
@@ -643,13 +640,6 @@ def _fit_bytes(fit, cloud):
     return np.array([*result.normal, result.d, result.rms]).tobytes()
 
 
-def compare_variants(scenario):
-    """``scenario`` under the dense, sparse and event-guided policies, as ``compare_sampling`` runs it."""
-    guided = scenario.policy if isinstance(scenario.policy, EventGuidedPolicy) else EventGuidedPolicy()
-    return [replace(scenario, policy=policy)
-            for policy in (DensePolicy(), SparsePolicy(guided.background_stride), guided)]
-
-
 class TestFitMatchesRowwise:
     """The column-pass plane fit gives the row-wise fit's normal, d and rms bit for bit."""
 
@@ -679,16 +669,15 @@ class TestBundledPeriodsMatchParentBodies:
 
     @pytest.mark.parametrize("name", ["moving_object", "noiseless_plane", "plane_compare", "stationary"])
     def test_bundled(self, name):
-        variants = compare_variants(load_scenario(SCENARIOS / f"{name}.yaml"))
-        geometry, periods = variants[0].geometry, variants[0].periods
-        for p, (guide, results) in enumerate(_run_periods(variants, parallel=True)):
-            frame = make_event_frame(guide, _window(variants[0], p))
+        rig, policies = _compare_policies(load_scenario(SCENARIOS / f"{name}.yaml"))
+        for p, (guide, results) in enumerate(_run_periods(rig, tuple(policies.values()), parallel=True)):
+            frame = make_event_frame(guide, _window(rig, p))
             assert active_pixel_fraction(frame) == _summed_active_pixel_fraction(frame)
             for result in results:
-                test_events.TestSurfaceMatchesParent.check(result.reflection, _window(variants[0], p))
+                test_events.TestSurfaceMatchesParent.check(result.reflection, _window(rig, p))
                 assert result.mask.fraction == _summed_mask_fraction(result.mask)
                 assert result.depth.valid_count == _summed_valid_count(result.depth)
-                cloud = depth_to_points(result.depth, geometry)
-                assert_same_bytes(cloud.xyz, _parent_depth_to_points(result.depth, geometry).xyz, "xyz")
+                cloud = depth_to_points(result.depth, rig.geometry)
+                assert_same_bytes(cloud.xyz, _parent_depth_to_points(result.depth, rig.geometry).xyz, "xyz")
                 assert _fit_bytes(fit_plane, cloud) == _fit_bytes(_rowwise_fit_plane, cloud)
-        assert p + 1 == periods
+        assert p + 1 == rig.periods

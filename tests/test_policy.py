@@ -457,6 +457,18 @@ class TestBuildMask:
                 expected[y, x] = in_roi or idx % 16 == 0
             assert np.array_equal(mask.on, expected)
 
+    def test_first_period_fallback_without_rois(self):
+        # rois=None: no guide period seen yet, so first_period picks the mask
+        stride = build_mask(SparsePolicy(8), (13, 7)).on
+        assert build_mask(EventGuidedPolicy(background_stride=8, first_period="dense"), (13, 7)).on.all()
+        sparse = build_mask(EventGuidedPolicy(background_stride=8, first_period="sparse"), (13, 7))
+        assert np.array_equal(sparse.on, stride)
+
+    @pytest.mark.parametrize("first_period", ["dense", "sparse"])
+    def test_empty_rois_give_the_stride(self, first_period):
+        policy = EventGuidedPolicy(background_stride=8, first_period=first_period)
+        assert np.array_equal(build_mask(policy, (13, 7), RoiSet(())).on, build_mask(SparsePolicy(8), (13, 7)).on)
+
     def test_event_guided_fraction_floor(self):
         policy = EventGuidedPolicy(background_stride=8)
         rois = RoiSet(((10, 10, 20, 20),))

@@ -593,7 +593,7 @@ def moving_object_period_0():
     sc = harness.load_scenario(SCENARIOS / "moving_object.yaml")
     w0, w1 = harness._window(sc, 0)
     depth = harness._resample_depth(render_scene(sc.script, (w0 + w1) / 2.0), sc.projector.resolution)
-    return sc, build_scan_plan(sc.projector, harness._mask_for_period(sc, None), t0_us=w0), depth
+    return sc, build_scan_plan(sc.projector, build_mask(sc.policy, sc.projector.resolution), t0_us=w0), depth
 
 
 @pytest.mark.parametrize("drop_probability", [0.0, 0.1], ids=["no-drops", "drops"])

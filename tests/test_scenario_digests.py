@@ -7,16 +7,22 @@ several periods. For both, the SHA-256 of every file ``run_scenario`` writes
 with every dump kind is pinned here. ``plane_compare`` is the only one with
 ``first_period: sparse``, ``dilation_px: 8`` and a 1024x320 raster; its 127
 dumped files are pinned by one SHA-256 over their sorted names and digests,
-so the table does not grow by a line per file. A change to any of these
-output bytes is a deliberate step: re-record the digest and say why.
+so the table does not grow by a line per file. ``compare_sampling.csv`` is
+pinned for the three scenarios whose table the reference does not hold;
+only ``noiseless_plane``'s one-period table includes a ``first_period:
+dense`` fallback, so its event-guided row equals its dense row. A change to
+any of these output bytes is a deliberate step: re-record the digest and
+say why.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
 
-from evsl.harness import DUMP_KINDS, load_scenario, run_scenario
+from evsl.formats import write_csv
+from evsl.harness import DUMP_KINDS, compare_sampling, load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,3 +85,19 @@ def test_plane_compare_dumps_match_digest(tmp_path):
         combined.update(f.name.encode() + b"\0")
         combined.update(hashlib.sha256(f.read_bytes()).digest())
     assert (len(files), combined.hexdigest()) == PLANE_COMPARE_DUMPS
+
+
+# SHA-256 of compare_sampling.csv as ``evsl compare-sampling <scenario> --out-dir`` writes it
+COMPARE_DIGESTS = {
+    "moving_object": "6c84e2564c047cbbeb9695b3b154d24157a9b3566f5235b2bb2bcf274b63c4ba",
+    "noiseless_plane": "bc41b6d7846d93e0e7c45d39767f8132aa55f290b42eccd98a1839f9d7563126",
+    "stationary": "41ef067c888e88e5bec6e572a844c53af5bb1bb3eb916556f28051b91120294c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+def test_compare_table_matches_digest(name):
+    rows = compare_sampling(load_scenario(SCENARIOS / f"{name}.yaml"))
+    table = io.StringIO()
+    write_csv(table, list(rows[0]), (row.values() for row in rows))
+    assert hashlib.sha256(table.getvalue().encode()).hexdigest() == COMPARE_DIGESTS[name]
