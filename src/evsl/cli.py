@@ -107,7 +107,7 @@ def _load_with_overrides(args):
 
 def _cmd_simulate(args) -> int:
     scenario = _load_with_overrides(args)
-    out_dir = args.out_dir or scenario.out_dir or Path("evsl_out") / scenario.name
+    out_dir = args.out_dir or Path("evsl_out") / scenario.name
     reports = run_scenario(scenario, parallel=args.parallel, dump=args.dump, out_dir=out_dir)
     steady = steady_periods(reports)  # as compare-sampling averages
     mean_fraction = sum(r.mask_fraction for r in steady) / len(steady)
@@ -124,13 +124,11 @@ def _cmd_sweep(sweep_fn, args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = _load_with_overrides(args)
-    out_dir = args.out_dir or scenario.out_dir
-    rows = compare_sampling(scenario, parallel=args.parallel)
+    rows = compare_sampling(_load_with_overrides(args), parallel=args.parallel)
     _emit_rows(rows, None)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _emit_rows(rows, Path(out_dir) / "compare_sampling.csv")
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        _emit_rows(rows, args.out_dir / "compare_sampling.csv")
     return 0
 
 

@@ -6,9 +6,10 @@ A check takes the field path and the value (or a literal default) and
 returns the value to build with; its errors read ``<field path>: <problem>``.
 Bounds are the built value type's, read as ``<section path>: <its message>``.
 A ``_REQUIRED`` key has no default; an absent ``_DECLARED`` one is left out,
-so the built type's own default applies. Six literals repeat a type's default
+so the built type's own default applies. Five literals repeat a type's default
 as no built field bears their key: ``texture``, ``velocity_px_per_us``,
-``scan_frequency_hz`` and run's ``seed``, ``evaluate_plane``, ``out_dir``.
+``scan_frequency_hz`` and run's ``seed``, ``evaluate_plane``. A scene lasts
+``run.periods`` scan periods.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class Scenario:
     guide_camera: GuideCameraModel = GuideCameraModel()
     seed: int = 0
     evaluate_plane: bool = True
-    out_dir: str | None = None  # the CLI's dump directory default; run_scenario does not read it
     name: str = "scenario"
 
     def __post_init__(self):
@@ -50,7 +50,7 @@ class Scenario:
         _check_run(self.periods, self.seed)
         needed = _run_duration(self.periods, self.projector.period_us)
         if self.script.duration_us + 1e-6 < needed:
-            raise ConfigError(f"scene.duration_us: {self.script.duration_us} is shorter than "
+            raise ConfigError(f"script.duration_us: {self.script.duration_us} is shorter than "
                               f"{self.periods} scan periods ({needed:.3f} us)")
 
 
@@ -146,12 +146,6 @@ def _pair(integer):
     return check
 
 
-def _path(path, value):
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string path")
-    return value
-
-
 def _rect(path, value):
     if not isinstance(value, list) or len(value) != 4:
         raise ConfigError(f"{path}: expected [x0, y0, width, height]")
@@ -245,7 +239,6 @@ _SCENARIO = (dict, {
         "periods": (_INTEGER, 1),
         "seed": (_INTEGER, 0),
         "evaluate_plane": (_BOOLEAN, True),
-        "out_dir": (_path, None),
     })), None),
     "projector": (_section((dict, {"scan_frequency_hz": (_NUMBER, 60.0)})), None),
     "geometry": (_section((SensorGeometry, {
@@ -260,26 +253,25 @@ _SCENARIO = (dict, {
         "noise_rate_hz": (_NUMBER, _DECLARED),
     }), absent=GuideCameraModel()), None),
     "noise": (_section((NoiseModel, {
-        "latency_us": (_NUMBER, _DECLARED),
         "jitter_anchors": (_list_of(_anchor, absent=DEFAULT_JITTER_ANCHORS), _DECLARED),
         "drop_probability": (_NUMBER, _DECLARED),
         "quantization_us": (_NUMBER, _DECLARED),
     }), absent=NoiseModel()), None),
     "policy": (_policy, None),
-    "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration default needs run and projector
+    "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration needs run and projector
 })
 
 
 def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     sections = _read(_SCENARIO, "", mapping)
     run, geometry = sections["run"], sections["geometry"]
-    _check_run(run["periods"], run["seed"])  # before periods sets the scene's default duration
+    _check_run(run["periods"], run["seed"])  # before periods sets the scene's duration
     try:
         projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
     except ValueError as exc:
         raise ConfigError(f"projector: {exc}") from None
-    duration = (_NUMBER, _run_duration(run["periods"], projector.period_us))  # the default is run.periods scan periods
-    script = _section((SceneScript, {**_SCENE_FIELDS, "duration_us": duration}))("scene", sections["scene"])
+    duration = _run_duration(run["periods"], projector.period_us)
+    script = _section((partial(SceneScript, duration_us=duration), _SCENE_FIELDS))("scene", sections["scene"])
     return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
                     guide_camera=sections["guide_camera"], name=name, **run)
 

@@ -4,12 +4,15 @@ Timestamps are real-valued microseconds throughout, so sub-microsecond
 raster steps and timing noise stay representable; quantization to a camera's
 clock is an explicit step in the projector simulator. Every time window is
 half-open, [t_start, t_end), so consecutive windows partition a stream
-without double-counting boundary events. Frames and time surfaces address
-pixels by flat raster index ``y * W + x``. A time surface starts as NaN and
-takes each event with ``np.fmax.at``, which keeps the number over a NaN, so a
-pixel without an event holds NaN with no second pass over the frame. Flat
-indices are split back into row and column in int32, so a sensor, projector
-or scene holds fewer than 2**31 pixels.
+without double-counting boundary events. The exception is ``make_voxel_grid``'s
+``(t0, span)``: an event weighs on the bins by its distance from their times,
+so one less than ``span / (bins - 1)`` outside [t0, t0 + span] still counts
+in part. Frames and
+time surfaces address pixels by flat raster index ``y * W + x``. A time
+surface starts as NaN and takes each event with ``np.fmax.at``, which keeps
+the number over a NaN, so a pixel without an event holds NaN with no second
+pass over the frame. Flat indices are split back into row and column in
+int32, so a sensor, projector or scene holds fewer than 2**31 pixels.
 
 Handing an array to a value type hands it over: the type keeps an array of
 its dtype without copying and marks it read-only, so a later write raises.

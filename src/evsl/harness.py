@@ -221,9 +221,9 @@ def run_scenario(
 
     ``dump`` may contain any of :data:`DUMP_KINDS`; artifacts land in
     ``out_dir``, in period order, with periods.csv. Nothing is written when
-    ``out_dir`` is None: ``scenario.out_dir`` is the CLI's default, not read
-    here. With ``parallel=True`` a 2-worker thread pool runs the guide stage
-    of every period and then whole periods; outputs are identical either way.
+    ``out_dir`` is None. With ``parallel=True`` a 2-worker thread pool runs the
+    guide stage of every period and then whole periods; outputs are identical
+    either way.
     """
     dump = frozenset(dump)
     if unknown := dump - set(DUMP_KINDS):

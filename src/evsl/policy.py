@@ -145,8 +145,6 @@ def detect_roi(
         raise ValueError("active_threshold must be >= 1")
     w, h = frame.resolution
     active = np.flatnonzero(frame.counts >= active_threshold)
-    if active.size == 0:
-        return RoiSet(())
     ys, xs = _row_col(active, w)
     ends = []
     for offset, in_row in ((1, xs < w - 1), (w - 1, xs > 0), (w, True), (w + 1, xs < w - 1)):

@@ -110,7 +110,6 @@ class NoiseModel:
     timestamps to the camera clock; 0 disables quantization.
     """
 
-    latency_us: float = 0.0
     jitter_anchors: tuple[tuple[float, float], ...] = DEFAULT_JITTER_ANCHORS
     drop_probability: float = 0.0
     quantization_us: float = 1.0
@@ -129,14 +128,12 @@ class NoiseModel:
             raise ValueError("drop_probability must lie in [0, 1]")
         if self.quantization_us < 0:
             raise ValueError("quantization_us must be non-negative")
-        if self.latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
         object.__setattr__(self, "jitter_anchors", anchors)
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
-        """Exact timestamps: no latency, jitter, drops, or quantization."""
-        return cls(latency_us=0.0, jitter_anchors=(), drop_probability=0.0, quantization_us=0.0)
+        """Exact timestamps: no jitter, drops, or quantization."""
+        return cls(jitter_anchors=(), drop_probability=0.0, quantization_us=0.0)
 
 
 def timestamp_jitter_std(model: NoiseModel, rate_ev_s: float) -> float:
@@ -258,7 +255,7 @@ def simulate_reflection_events(
     ``scene_depth`` must be sampled on the projector grid at scan time. Each
     firing at projector (row, col) with depth Z lands on camera column
     col - f * b / Z (nearest pixel, same row) and produces one positive event
-    at fire time + latency + jitter, optionally dropped and quantized.
+    at fire time + jitter, optionally dropped and quantized.
     Firings that leave the camera frame or hit invalid depth are discarded
     and counted in the returned tally. ``seed`` and ``sequence`` key the noise
     draws: a run passes its scenario's seed and the period index, so distinct
@@ -310,7 +307,6 @@ def simulate_reflection_events(
     x = x.astype(np.int32)  # integral: the stream then checks int32 coordinates in no extra pass
 
     t = plan.fire_t_us[landed]
-    t += noise.latency_us
     # Modelling choice: sigma follows the period's mean firing rate, not the
     # local burst rate inside an ROI, so a sparser mask means less jitter.
     # Acceptance criterion 4's noise ordering across policies rests on it.

@@ -178,19 +178,17 @@ def _parse_object(sec: _Section) -> MovingObject:
     return obj
 
 
-def parse_scene_config(mapping: dict, duration_us: float | None = None, path: str = "scene") -> SceneScript:
+def parse_scene_config(mapping: dict, duration_us: float, path: str = "scene") -> SceneScript:
     """Build a SceneScript from the scenario file's scene section."""
     sec = _Section(mapping, path)
     resolution = sec.take_pair("resolution", integer=True)
-    duration = sec.take_number("duration_us", duration_us if duration_us is not None else _MISSING,
-                               minimum=0)
     background = _parse_background(sec.child("background"))
     objects = []
     for i, entry in enumerate(sec.take_list("objects", [])):
         objects.append(_parse_object(_Section(entry, f"{path}.objects[{i}]")))
     sec.finish()
     try:
-        return SceneScript(resolution, duration, background, tuple(objects))
+        return SceneScript(resolution, duration_us, background, tuple(objects))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -229,9 +227,6 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     periods = run.take_int("periods", 1, minimum=1)
     seed = run.take_int("seed", 0, minimum=0)
     evaluate_plane = run.take_bool("evaluate_plane", True)
-    out_dir = run.take("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{run.key('out_dir')}: expected a string path")
     run.finish()
 
     proj_sec = root.child("projector")
@@ -280,7 +275,6 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
             anchor_tuple = tuple(anchor_tuple)
         try:
             noise = NoiseModel(
-                latency_us=noise_sec.take_number("latency_us", 0.0, minimum=0),
                 jitter_anchors=anchor_tuple,
                 drop_probability=noise_sec.take_number("drop_probability", 0.0, minimum=0),
                 quantization_us=noise_sec.take_number("quantization_us", 1.0, minimum=0),
@@ -293,8 +287,8 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
 
     policy = _parse_policy(root.child("policy"))
 
-    default_duration = periods * projector.period_us
-    script = parse_scene_config(root.take("scene"), duration_us=default_duration)
+    duration = periods * projector.period_us
+    script = parse_scene_config(root.take("scene"), duration_us=duration)
 
     root.finish()
     return Scenario(
@@ -307,7 +301,6 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
         guide_camera=camera,
         seed=seed,
         evaluate_plane=evaluate_plane,
-        out_dir=out_dir,
         name=name,
     )
 
@@ -325,14 +318,14 @@ REMOVED = object()
 # Every key the parser reads, by the path of its section (an int is a list index).
 KNOWN_KEYS = {
     (): ("run", "projector", "geometry", "guide_camera", "noise", "policy", "scene"),
-    ("run",): ("periods", "seed", "evaluate_plane", "out_dir"),
+    ("run",): ("periods", "seed", "evaluate_plane"),
     ("projector",): ("scan_frequency_hz",),
     ("geometry",): ("cam_resolution", "proj_resolution", "focal_length_px", "baseline_m"),
     ("guide_camera",): ("contrast_threshold", "render_rate_hz", "noise_rate_hz"),
-    ("noise",): ("latency_us", "jitter_anchors", "drop_probability", "quantization_us"),
+    ("noise",): ("jitter_anchors", "drop_probability", "quantization_us"),
     ("policy",): ("kind", "stride", "grid", "median_kernel_px", "active_threshold", "min_area_px",
                   "dilation_px", "background_stride", "first_period"),
-    ("scene",): ("resolution", "duration_us", "background", "objects"),
+    ("scene",): ("resolution", "background", "objects"),
     ("scene", "background"): ("depth_m", "intensity", "texture"),
     ("scene", "background", "texture"): ("kind", "tile_px", "low", "high"),
     ("scene", "objects"): (0,),

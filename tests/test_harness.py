@@ -162,14 +162,22 @@ class TestScenarioConfig:
             })
 
     def test_duration_must_cover_periods(self):
-        with pytest.raises(ConfigError, match="duration"):
-            parse_scenario({
-                "scene": {"resolution": [8, 8], "duration_us": 10.0, "background": {"depth_m": 2.0}},
-                "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": 10.0},
-                "projector": {"scan_frequency_hz": 60.0},
-                "policy": {"kind": "dense"},
-                "run": {"periods": 2},
-            })
+        sc = tiny_scenario(periods=2)
+        with pytest.raises(ConfigError, match=r"^script\.duration_us: 10\.0 is shorter than 2 scan periods "):
+            replace(sc, script=replace(sc.script, duration_us=10.0))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("noise", "latency_us", 0.0), ("scene", "duration_us", 50000.0), ("run", "out_dir", "out"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, section, key, value):
+        scenario = scenario_yaml(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\): {section}\.{key}$"):
+            load_scenario(scenario)
+
+    def test_removed_key_exits_2(self, tmp_path, capsys):
+        scenario = scenario_yaml(tmp_path, noise={"latency_us": 0.0})
+        assert cli_main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s): noise.latency_us\n"
 
     @pytest.mark.parametrize("path, value, message", [
         (("scene", "objects"), None, "scene.objects: expected a list, got None"),
@@ -183,7 +191,6 @@ class TestScenarioConfig:
         (("geometry", "cam_resolution"), [True, 48], "geometry.cam_resolution: expected integer pair, got [True, 48]"),
         (("scene", "resolution"), [0, 8], "scene: invalid resolution (0, 8)"),
         (("noise", "jitter_anchors"), [["a", 1]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
-        (("noise", "latency_us"), -1, "noise: latency_us must be non-negative"),
         (("policy",), {"kind": "sparse", "stride": 0}, "policy: stride must be >= 1"),
         (("policy",), {"kind": "sparse", "grid": True}, "unknown key(s): policy.grid"),
         (("policy",), {"kind": "event_guided", "dilation_px": -1}, "policy: dilation_px must be >= 0"),
@@ -206,7 +213,6 @@ class TestScenarioConfig:
         (("geometry", "focal_length_px"), "geometry.focal_length_px: expected a number, got {!r}"),
         (("guide_camera",), "guide_camera.contrast_threshold: expected a number, got {!r}"),
         (("noise", "drop_probability"), "noise.drop_probability: expected a number, got {!r}"),
-        (("scene", "duration_us"), "scene.duration_us: expected a number, got {!r}"),
         (("scene", "background", "depth_m"), "scene.background.depth_m: expected a number, got {!r}"),
         (("scene", "background", "texture"), "scene.background.texture.low: expected a number, got {!r}"),
         (("scene", "objects", 0, "depth_m"), "scene.objects[0].depth_m: expected a number, got {!r}"),
@@ -289,8 +295,7 @@ class TestScenarioConfig:
     def test_readme_scenario_block_states_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = yaml.safe_load(readme.split("## Scenario files", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0])
-        # illustrative, not defaults: the rounded duration, the optional texture and the sparse-only stride
-        del block["scene"]["duration_us"]
+        # illustrative, not defaults: the optional texture and the sparse-only stride
         texture = block["scene"]["background"].pop("texture")
         stride = block["policy"].pop("stride")
         required = {
@@ -475,6 +480,10 @@ class TestRunScenario:
         assert depth.valid_count == r.valid_depth_pixels
 
 
+# jitter wide enough to move decoded rows and columns, so some pixels fail the row or disparity check
+FAILING_NOISE = evsl.NoiseModel(jitter_anchors=((1.0, 400.0),), drop_probability=0.1)
+
+
 @st.composite
 def small_scenarios(draw):
     """Tiny scenarios with 1-4 objects, any policy kind, noise on or off."""
@@ -499,8 +508,7 @@ def small_scenarios(draw):
             first_period=st.sampled_from(["dense", "sparse"]),
         ),
     ))
-    # the latency shifts decoded rows and columns, so some pixels fail the row or disparity check
-    noise = draw(st.sampled_from([None, evsl.NoiseModel(), evsl.NoiseModel(latency_us=400.0, drop_probability=0.1)]))
+    noise = draw(st.sampled_from([None, evsl.NoiseModel(), FAILING_NOISE]))
     return tiny_scenario(policy, draw(st.integers(1, 3)), noise, draw(st.integers(0, 3)), objects)
 
 
@@ -544,6 +552,20 @@ class TestPeriodProperties:
     def test_parallel_equals_serial_and_counts_are_conserved(self, sc):
         with pytest.MonkeyPatch.context() as mp:
             check_parallel_equals_serial_and_counts(sc, mp)
+
+    def test_wide_jitter_fails_row_and_disparity_checks(self, monkeypatch):
+        # FAILING_NOISE keeps both decode failure classes in the property above
+        tallies = []
+        decode = harness.reconstruct_depth
+
+        def recording(*args, **kwargs):
+            result = decode(*args, **kwargs)
+            tallies.append(result[1])
+            return result
+
+        monkeypatch.setattr(harness, "reconstruct_depth", recording)
+        run_scenario(tiny_scenario(noise=FAILING_NOISE))
+        assert [(t["row_mismatch"] > 0, t["nonpositive_disparity"] > 0) for t in tallies] == [(True, True)] * 3
 
 
 class TestSceneResolutionDiffers:
@@ -846,7 +868,7 @@ class TestCli:
         assert runs["a"] != runs["file"]
 
     def test_periods_override_sets_default_duration(self, tmp_path, capsys):
-        # the file sets no scene.duration_us, so it follows the overridden period count
+        # a scene lasts run.periods scan periods, so it follows the overridden period count
         path = scenario_yaml(tmp_path)
         assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), "--periods", "8"]) == 0
         assert "ran 8 scan period(s)" in capsys.readouterr().out

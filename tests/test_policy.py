@@ -155,6 +155,10 @@ class TestDetectRoi:
     def test_empty_frame(self):
         assert len(detect_roi(frame_of(np.zeros((8, 8), int)))) == 0
 
+    @pytest.mark.parametrize("counts", [np.zeros((1, 1), int), np.ones((6, 9), int)])
+    def test_no_pixel_reaches_threshold(self, counts):
+        assert detect_roi(frame_of(counts), active_threshold=2).boxes == ()
+
     def test_single_pixel_dilated_box(self):
         counts = np.zeros((21, 21), dtype=int)
         counts[10, 10] = 1

@@ -282,14 +282,6 @@ class TestSimulateReflection:
         b, _ = simulate_reflection_events(plan, depth, geom, nm, sequence=1, seed=42)
         assert not np.array_equal(a.t, b.t)
 
-    def test_latency_shifts_timestamps(self):
-        geom, proj, depth = plane_setup()
-        plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
-        nm = NoiseModel(latency_us=250.0, jitter_anchors=(), quantization_us=0.0)
-        stream, _ = simulate_reflection_events(plan, depth, geom, nm)
-        base, _ = simulate_reflection_events(plan, depth, geom, NoiseModel.noiseless())
-        assert np.allclose(np.sort(stream.t), np.sort(base.t) + 250.0)
-
     def test_quantization_snaps_to_clock(self):
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
@@ -418,7 +410,7 @@ def oracle_simulate_reflection_events(
     cam_col = np.floor(plan.cols - disparity + 0.5)
     in_frame = depth_ok & (cam_col >= 0) & (cam_col < cam_w) & (plan.rows < cam_h)
 
-    t = plan.fire_t_us + noise.latency_us
+    t = plan.fire_t_us
     if noise.jitter_anchors:
         # Modelling choice: sigma follows the period's mean firing rate, not the
         # local burst rate inside an ROI, so a sparser mask means less jitter.
@@ -468,7 +460,6 @@ def reflection_cases(draw):
     plan = build_scan_plan(projector, IlluminationMask((pw, ph), on), draw(st.sampled_from([0.0, 12345.6])))
     geometry = SensorGeometry((cw, ch), (pw, ph), draw(st.sampled_from([1.0, 10.0, 40.0])), 0.05)
     noise = NoiseModel(
-        latency_us=draw(st.sampled_from([0.0, 3.7])),
         # these tiny rasters fire at 60 Ev/s to 1 MEv/s, below the default anchors,
         # so the last anchors make sigma depend on the plan's firing rate
         jitter_anchors=draw(st.sampled_from([(), DEFAULT_JITTER_ANCHORS, ((1e-4, 0.5), (0.1, 40.0))])),
@@ -506,7 +497,7 @@ class TestReflectionMatchesOracle:
         # at 2 kHz firings are 0.16 us apart, so jitter reorders them within one microsecond
         geom, proj, depth = plane_setup(f_hz=f_hz)
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
-        assert_matches_oracle(plan, depth, geom, NoiseModel(latency_us=3.7, quantization_us=quantization_us), 2, 4)
+        assert_matches_oracle(plan, depth, geom, NoiseModel(quantization_us=quantization_us), 2, 4)
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
     def test_dense_period_with_drops_at_block_size(self, block):
@@ -514,7 +505,7 @@ class TestReflectionMatchesOracle:
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
         with mock.patch.object(projector, "_NOISE_BLOCK", block):
-            assert_matches_oracle(plan, depth, geom, NoiseModel(latency_us=3.7, drop_probability=0.1), 2, 4)
+            assert_matches_oracle(plan, depth, geom, NoiseModel(drop_probability=0.1), 2, 4)
 
 
 def assert_matches_oracle(plan, depth, geometry, noise, sequence, seed):
@@ -553,7 +544,6 @@ def _parent_simulate_reflection_events(
     n_landed = len(landed)
 
     t = plan.fire_t_us[landed]
-    t += noise.latency_us
     # Modelling choice: sigma follows the period's mean firing rate, not the
     # local burst rate inside an ROI, so a sparser mask means less jitter.
     # Acceptance criterion 4's noise ordering across policies rests on it.
