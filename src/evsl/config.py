@@ -6,10 +6,9 @@ A check takes the field path and the value (or a literal default) and
 returns the value to build with; its errors read ``<field path>: <problem>``.
 Bounds are the built value type's, read as ``<section path>: <its message>``.
 A ``_REQUIRED`` key has no default; an absent ``_DECLARED`` one is left out,
-so the built type's own default applies. Five literals repeat a type's default
-as no built field bears their key: ``texture``, ``velocity_px_per_us``,
-``scan_frequency_hz`` and run's ``seed``, ``evaluate_plane``. A scene lasts
-``run.periods`` scan periods.
+so the built type's own default applies. Three literals repeat a type's default
+as no built field bears their key: ``texture``, ``velocity_px_per_us`` and
+``scan_frequency_hz``. A run covers ``run.periods`` scan periods.
 """
 
 from __future__ import annotations
@@ -47,29 +46,16 @@ class Scenario:
     def __post_init__(self):
         if self.geometry.proj_resolution != self.projector.resolution:
             raise ConfigError(f"geometry.proj_resolution: differs from the projector's {self.projector.resolution}")
-        _check_run(self.periods, self.seed)
-        needed = _run_duration(self.periods, self.projector.period_us)
-        if self.script.duration_us + 1e-6 < needed:
-            raise ConfigError(f"script.duration_us: {self.script.duration_us} is shorter than "
-                              f"{self.periods} scan periods ({needed:.3f} us)")
-
-
-def _check_run(periods: int, seed: int) -> None:
-    """The bounds of ``Scenario``'s run fields, worded as the run section's keys."""
-    for key, value, least in (("periods", periods, 1), ("seed", seed, 0)):
-        if value < least:
-            raise ConfigError(f"run.{key}: must be at least {least}")
-
-
-def _run_duration(periods: int, period_us: float) -> float:
-    """Microseconds in ``periods`` scan periods, which must be a finite float."""
-    try:
-        duration = periods * period_us
-    except OverflowError:  # int too large to convert to float
-        duration = math.inf
-    if not math.isfinite(duration):
-        raise ConfigError(f"run.periods: {periods} scan periods of {period_us} us overflow a float")
-    return duration
+        for key, value, least in (("periods", self.periods, 1), ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(f"run.{key}: must be at least {least}")
+        try:
+            finite = math.isfinite(self.periods * self.projector.period_us)
+        except OverflowError:  # int too large to convert to float
+            finite = False
+        if not finite:
+            raise ConfigError(f"run.periods: {self.periods} scan periods of {self.projector.period_us} us "
+                              "overflow a float")
 
 
 _REQUIRED, _DECLARED = object(), object()  # no default; the built value type's own default
@@ -214,11 +200,11 @@ _OBJECT = (
     },
 )
 
-_SCENE_FIELDS = {
+_SCENE = (SceneScript, {
     "resolution": (_pair(integer=True), _REQUIRED),
     "background": (_section(_BACKGROUND), None),
     "objects": (_list_of(partial(_read, _OBJECT)), _DECLARED),
-}
+})
 
 _POLICIES = {
     "dense": (DensePolicy, {}),
@@ -237,8 +223,8 @@ _POLICY_KINDS = tuple(_POLICIES)  # compared by ==: a YAML list or mapping is no
 _SCENARIO = (dict, {
     "run": (_section((dict, {
         "periods": (_INTEGER, 1),
-        "seed": (_INTEGER, 0),
-        "evaluate_plane": (_BOOLEAN, True),
+        "seed": (_INTEGER, _DECLARED),
+        "evaluate_plane": (_BOOLEAN, _DECLARED),
     })), None),
     "projector": (_section((dict, {"scan_frequency_hz": (_NUMBER, 60.0)})), None),
     "geometry": (_section((SensorGeometry, {
@@ -258,22 +244,19 @@ _SCENARIO = (dict, {
         "quantization_us": (_NUMBER, _DECLARED),
     }), absent=NoiseModel()), None),
     "policy": (_policy, None),
-    "scene": (lambda path, value: value, _REQUIRED),  # read last: its duration needs run and projector
+    "scene": (_section(_SCENE), _REQUIRED),
 })
 
 
 def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
     sections = _read(_SCENARIO, "", mapping)
-    run, geometry = sections["run"], sections["geometry"]
-    _check_run(run["periods"], run["seed"])  # before periods sets the scene's duration
+    geometry = sections["geometry"]
     try:
         projector = ProjectorModel(geometry.proj_resolution, sections["projector"]["scan_frequency_hz"])
     except ValueError as exc:
         raise ConfigError(f"projector: {exc}") from None
-    duration = _run_duration(run["periods"], projector.period_us)
-    script = _section((partial(SceneScript, duration_us=duration), _SCENE_FIELDS))("scene", sections["scene"])
-    return Scenario(script, geometry, projector, sections["noise"], sections["policy"],
-                    guide_camera=sections["guide_camera"], name=name, **run)
+    return Scenario(sections["scene"], geometry, projector, sections["noise"], sections["policy"],
+                    guide_camera=sections["guide_camera"], name=name, **sections["run"])
 
 
 def load_scenario(path: str | os.PathLike, run_overrides: dict | None = None) -> Scenario:

@@ -96,14 +96,11 @@ class MovingObject:
 @dataclass(frozen=True)
 class SceneScript:
     resolution: tuple[int, int]
-    duration_us: float
     background: Background
     objects: tuple[MovingObject, ...] = ()
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if self.duration_us < 0:
-            raise ValueError("duration must be non-negative")
         for i, obj in enumerate(self.objects):
             if not obj.depth_m < self.background.depth_m:
                 raise ValueError(f"objects[{i}]: object depth must be in front of the background")
@@ -153,10 +150,11 @@ def render_scene(script: SceneScript, t_us: float) -> DepthMap:
 
     Objects are painted over the background farthest-first, so the nearest
     object wins where rectangles overlap. The guide camera paints intensity
-    itself, on the pixels that change.
+    itself, on the pixels that change. ``t_us`` must be finite and
+    non-negative.
     """
-    if not (0.0 <= t_us <= script.duration_us):
-        raise ValueError(f"t={t_us} outside scene duration [0, {script.duration_us}]")
+    if not (0.0 <= t_us < math.inf):
+        raise ValueError(f"t={t_us} must be finite and non-negative")
     w, h = script.resolution
     depth = np.full((h, w), script.background.depth_m)
     objects = _paint_order(script)
@@ -216,6 +214,9 @@ def generate_guide_events(
 ) -> EventStream:
     """Emit brightness-change events for ``interval`` (half-open).
 
+    The interval ``(t0, t1)`` must be finite, with ``0 <= t0 <= t1``; an
+    empty one gives no events.
+
     Per pixel the camera keeps a reference log-intensity; at each internal
     render step it emits floor(|dL| / C) events of sign(dL), where dL is the
     change relative to the reference, then advances the reference by the
@@ -236,8 +237,8 @@ def generate_guide_events(
     pixels are tested, and fire, in row-major order, as over the full frame.
     """
     t0, t1 = interval
-    if not (0.0 <= t0 <= t1 <= script.duration_us):
-        raise ValueError(f"interval ({t0}, {t1}) outside scene duration")
+    if not (0.0 <= t0 <= t1 < math.inf):
+        raise ValueError(f"interval ({t0}, {t1}) must be finite, non-negative and ordered")
     if t1 <= t0:
         return EventStream.empty(script.resolution)
 

@@ -178,7 +178,7 @@ def _parse_object(sec: _Section) -> MovingObject:
     return obj
 
 
-def parse_scene_config(mapping: dict, duration_us: float, path: str = "scene") -> SceneScript:
+def parse_scene_config(mapping: dict, path: str = "scene") -> SceneScript:
     """Build a SceneScript from the scenario file's scene section."""
     sec = _Section(mapping, path)
     resolution = sec.take_pair("resolution", integer=True)
@@ -188,7 +188,7 @@ def parse_scene_config(mapping: dict, duration_us: float, path: str = "scene") -
         objects.append(_parse_object(_Section(entry, f"{path}.objects[{i}]")))
     sec.finish()
     try:
-        return SceneScript(resolution, duration_us, background, tuple(objects))
+        return SceneScript(resolution, background, tuple(objects))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -287,8 +287,7 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
 
     policy = _parse_policy(root.child("policy"))
 
-    duration = periods * projector.period_us
-    script = parse_scene_config(root.take("scene"), duration_us=duration)
+    script = parse_scene_config(root.take("scene"))
 
     root.finish()
     return Scenario(
@@ -387,7 +386,6 @@ def outcome(parse, mapping):
 # The value type that states each bound the oracle checked outside the run
 # section, by section path: built with the faulted field and valid others.
 BOUND_OWNERS = {
-    "scene": lambda **field: SceneScript((8, 8), background=Background(1.0), **field),
     "scene.background": lambda **field: Background(**{"depth_m": 1.0, **field}),
     "scene.background.texture": CheckerTexture,
     "scene.objects[0]": lambda **field: MovingObject(0, 0, 1, 1, **field),

@@ -3,9 +3,12 @@
 The parent's ``generate_guide_events`` (state over the whole frame, the box
 spanning each moved rectangle's old and new position re-tested) and its
 ``_guide_period`` (median and ROI search over the whole frame) are kept below
-verbatim as oracles, apart from their names and the full-frame background,
-which ``test_scene.intensity_image`` now gives.
+verbatim as oracles, apart from their names, their interval check (a scene
+has no length of its own) and the full-frame background, which
+``test_scene.intensity_image`` now gives.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -51,8 +54,8 @@ def _parent_generate_guide_events(
     order, as a test over the full frame would order them.
     """
     t0, t1 = interval
-    if not (0.0 <= t0 <= t1 <= script.duration_us):
-        raise ValueError(f"interval ({t0}, {t1}) outside scene duration")
+    if not (0.0 <= t0 <= t1 < math.inf):
+        raise ValueError(f"interval ({t0}, {t1}) must be finite, non-negative and ordered")
     if t1 <= t0:
         return EventStream.empty(script.resolution)
 
@@ -147,7 +150,7 @@ def _parent_guide_period(scenario: Scenario, p: int) -> tuple[EventStream, float
 
 def guide_scenario(resolution, objects, checker=None, camera=GuideCameraModel(), policy=EventGuidedPolicy(),
                    frequency_hz=200.0, periods=3, seed=0):
-    script = SceneScript(resolution, periods * 1e6 / frequency_hz, Background(3.0, 0.45, checker), tuple(objects))
+    script = SceneScript(resolution, Background(3.0, 0.45, checker), tuple(objects))
     return Scenario(
         script=script,
         geometry=evsl.SensorGeometry((8, 8), (8, 8), 600.0, 0.04),

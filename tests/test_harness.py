@@ -40,7 +40,7 @@ SRC = str(Path(evsl.__file__).resolve().parents[1])
 def tiny_scenario(policy=None, periods=3, noise=None, seed=5, objects=None):
     if objects is None:
         objects = (evsl.MovingObject(10, 10, 12, 8, (0.0006, 0.0), 1.9995, 0.95),)
-    script = evsl.SceneScript((64, 48), periods * 16666.666666666668, evsl.Background(2.0, 0.5), objects)
+    script = evsl.SceneScript((64, 48), evsl.Background(2.0, 0.5), objects)
     geom = evsl.SensorGeometry((64, 48), (64, 48), 600.0, 0.04)
     proj = evsl.ProjectorModel((64, 48), 60.0)
     return Scenario(
@@ -130,7 +130,6 @@ class TestScenarioConfig:
         assert sc.periods == 3
         assert isinstance(sc.policy, evsl.EventGuidedPolicy)
         assert sc.noise.jitter_anchors == ()
-        assert sc.script.duration_us == pytest.approx(3 * sc.projector.period_us)
 
     def test_unknown_key_reports_path(self):
         with pytest.raises(ConfigError, match=r"policy\.striide"):
@@ -161,10 +160,10 @@ class TestScenarioConfig:
                 "run": {"periods": 1},
             })
 
-    def test_duration_must_cover_periods(self):
-        sc = tiny_scenario(periods=2)
-        with pytest.raises(ConfigError, match=r"^script\.duration_us: 10\.0 is shorter than 2 scan periods "):
-            replace(sc, script=replace(sc.script, duration_us=10.0))
+    def test_more_periods_need_no_other_change(self):
+        # a scene has no length of its own: a run covers however many scan periods it is given
+        sc = replace(load_scenario(SCENARIOS / "moving_object.yaml"), periods=8)
+        assert len(run_scenario(sc)) == 8
 
     @pytest.mark.parametrize("section, key, value", [
         ("noise", "latency_us", 0.0), ("scene", "duration_us", 50000.0), ("run", "out_dir", "out"),
@@ -342,7 +341,7 @@ class TestRunScenario:
     def test_period_failure_recorded_and_run_continues(self):
         # a single-row camera makes every reconstructed cloud collinear, so
         # the plane fit fails; the run must keep going and log the failure
-        script = evsl.SceneScript((64, 1), 2 * 16666.666666666668, evsl.Background(2.0, 0.5))
+        script = evsl.SceneScript((64, 1), evsl.Background(2.0, 0.5))
         geom = evsl.SensorGeometry((64, 1), (64, 1), 600.0, 0.04)
         proj = evsl.ProjectorModel((64, 1), 60.0)
         sc = Scenario(script, geom, proj, evsl.NoiseModel.noiseless(), evsl.DensePolicy(),
@@ -359,7 +358,7 @@ class TestRunScenario:
             assert column in (name, f"{name}_ev_s")
 
     def test_degenerate_period_keeps_metrics_and_dumps(self, tmp_path):
-        script = evsl.SceneScript((64, 1), 16666.666666666668, evsl.Background(2.0, 0.5))
+        script = evsl.SceneScript((64, 1), evsl.Background(2.0, 0.5))
         geom = evsl.SensorGeometry((64, 1), (64, 1), 600.0, 0.04)
         proj = evsl.ProjectorModel((64, 1), 60.0)
         sc = Scenario(script, geom, proj, evsl.NoiseModel.noiseless(), evsl.DensePolicy(), periods=1)
@@ -867,8 +866,8 @@ class TestCli:
         assert runs["a"] == runs["b"]
         assert runs["a"] != runs["file"]
 
-    def test_periods_override_sets_default_duration(self, tmp_path, capsys):
-        # a scene lasts run.periods scan periods, so it follows the overridden period count
+    def test_periods_override_sets_period_count(self, tmp_path, capsys):
+        # a run covers run.periods scan periods, so --periods sets how many run
         path = scenario_yaml(tmp_path)
         assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), "--periods", "8"]) == 0
         assert "ran 8 scan period(s)" in capsys.readouterr().out

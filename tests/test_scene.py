@@ -24,8 +24,8 @@ from evsl.scene import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def plane_script(resolution=(32, 24), duration=100000.0, objects=()):
-    return SceneScript(resolution, duration, Background(2.0, 0.5), tuple(objects))
+def plane_script(resolution=(32, 24), objects=()):
+    return SceneScript(resolution, Background(2.0, 0.5), tuple(objects))
 
 
 def intensity_image(background, resolution):
@@ -74,9 +74,10 @@ class TestRenderScene:
         dm = render_scene(plane_script(objects=[obj]), 0.0)
         assert (dm.depth == 1.0).sum() == 9
 
-    def test_time_outside_duration_rejected(self):
-        with pytest.raises(ValueError):
-            render_scene(plane_script(duration=10.0), 11.0)
+    @pytest.mark.parametrize("t_us", [-1.0, math.nan, math.inf])
+    def test_time_not_finite_and_non_negative_rejected(self, t_us):
+        with pytest.raises(ValueError, match=r"must be finite and non-negative$"):
+            render_scene(plane_script(), t_us)
 
     def test_object_behind_background_rejected(self):
         with pytest.raises(ValueError, match="front"):
@@ -87,7 +88,7 @@ class TestRenderScene:
             plane_script(resolution=(65536, 32768))
 
     def test_checker_texture(self):
-        script = SceneScript((8, 8), 10.0, Background(2.0, checker=CheckerTexture(2, 0.3, 0.7)))
+        script = SceneScript((8, 8), Background(2.0, checker=CheckerTexture(2, 0.3, 0.7)))
         img = render_intensity(script, 0.0)
         assert img[0, 0] == 0.3
         assert img[0, 2] == 0.7
@@ -116,7 +117,7 @@ class TestGuideEvents:
         bg = 0.2
         obj_intensity = bg * math.exp(2.5 * c)
         obj = MovingObject(-1.0, 0.0, 1, 1, (0.0008, 0.0), 1.0, obj_intensity)
-        script = SceneScript((3, 1), 4000.0, Background(2.0, bg), (obj,))
+        script = SceneScript((3, 1), Background(2.0, bg), (obj,))
         cam = GuideCameraModel(contrast_threshold=c, render_rate_hz=1000.0)
         # the object covers pixel 0 by the t=1000 render and stays until 1875
         stream = generate_guide_events(script, cam, (0.0, 1200.0))
@@ -126,7 +127,7 @@ class TestGuideEvents:
 
     def test_edge_only_against_reference_model(self):
         obj = MovingObject(4, 6, 8, 6, (0.0008, 0.0), 1.0, 0.9)
-        script = plane_script((32, 24), 40000.0, [obj])
+        script = plane_script((32, 24), [obj])
         cam = GuideCameraModel(contrast_threshold=0.3, render_rate_hz=1000.0)
         stream = generate_guide_events(script, cam, (0.0, 40000.0))
         counts = make_event_frame(stream, (0.0, 40000.0)).counts
@@ -147,7 +148,7 @@ class TestGuideEvents:
 
     def test_interior_and_background_silent(self):
         obj = MovingObject(4, 6, 8, 6, (0.0008, 0.0), 1.0, 0.9)
-        script = plane_script((32, 24), 20000.0, [obj])
+        script = plane_script((32, 24), [obj])
         stream = generate_guide_events(script, GuideCameraModel(), (0.0, 20000.0))
         counts = make_event_frame(stream, (0.0, 20000.0)).counts
         # the object's vertical edges sweep x in [4, 4+16) and [12, 12+16);
@@ -157,7 +158,7 @@ class TestGuideEvents:
 
     def test_doubling_threshold_never_raises_counts(self):
         obj = MovingObject(4, 6, 8, 6, (0.0006, 0.0004), 1.0, 0.95)
-        script = plane_script((32, 24), 30000.0, [obj])
+        script = plane_script((32, 24), [obj])
         lo = generate_guide_events(script, GuideCameraModel(contrast_threshold=0.2), (0.0, 30000.0))
         hi = generate_guide_events(script, GuideCameraModel(contrast_threshold=0.4), (0.0, 30000.0))
         lo_counts = make_event_frame(lo, (0.0, 30000.0)).counts
@@ -166,20 +167,23 @@ class TestGuideEvents:
 
     def test_sorted_and_inside_interval(self):
         obj = MovingObject(0, 0, 6, 6, (0.001, 0.0), 1.0, 0.9)
-        script = plane_script((32, 24), 50000.0, [obj])
+        script = plane_script((32, 24), [obj])
         stream = generate_guide_events(script, GuideCameraModel(), (10000.0, 30000.0))
         assert np.all(np.diff(stream.t) >= 0)
         assert len(stream) > 0
         assert stream.t[0] >= 10000.0
         assert stream.t[-1] < 30000.0
 
-    def test_interval_outside_duration_rejected(self):
-        with pytest.raises(ValueError):
-            generate_guide_events(plane_script(duration=10.0), GuideCameraModel(), (0.0, 20.0))
+    @pytest.mark.parametrize("interval", [
+        (-1.0, 20.0), (math.nan, 20.0), (0.0, math.nan), (20.0, 10.0), (0.0, math.inf), (math.inf, math.inf),
+    ])
+    def test_interval_not_finite_non_negative_and_ordered_rejected(self, interval):
+        with pytest.raises(ValueError, match=r"must be finite, non-negative and ordered$"):
+            generate_guide_events(plane_script(), GuideCameraModel(), interval)
 
     def test_background_noise_rate(self):
         cam = GuideCameraModel(noise_rate_hz=50.0)
-        script = plane_script((32, 24), 1_000_000.0)
+        script = plane_script((32, 24))
         stream = generate_guide_events(script, cam, (0.0, 1_000_000.0), seed=123)
         expected = 50.0 * 32 * 24 * 1.0  # rate * pixels * seconds
         assert len(stream) == pytest.approx(expected, rel=0.2)
@@ -191,7 +195,7 @@ class TestGuideEvents:
         bg = 0.2
         obj_intensity = bg * math.exp(2.2 * c)
         obj = MovingObject(-1.0, 0.0, 1, 1, (0.0008, 0.0), 1.0, obj_intensity)
-        script = SceneScript((3, 1), 4000.0, Background(2.0, bg), (obj,))
+        script = SceneScript((3, 1), Background(2.0, bg), (obj,))
         cam = GuideCameraModel(contrast_threshold=c, render_rate_hz=1000.0)
         stream = generate_guide_events(script, cam, (0.0, 1200.0))
         at0 = [e.t for e in stream if (e.x, e.y) == (0, 0)]
@@ -205,8 +209,8 @@ class TestGuideEvents:
 def _full_frame_guide_events(script, camera, interval, seed=0):
     """Reference guide camera: re-renders and tests every pixel at every step."""
     t0, t1 = interval
-    if not (0.0 <= t0 <= t1 <= script.duration_us):
-        raise ValueError(f"interval ({t0}, {t1}) outside scene duration")
+    if not (0.0 <= t0 <= t1 < math.inf):
+        raise ValueError(f"interval ({t0}, {t1}) must be finite, non-negative and ordered")
     if t1 <= t0:
         return EventStream.empty(script.resolution)
 
@@ -287,7 +291,7 @@ class TestGuideEventsMatchFullFrame:
         # fires again at t=3000 although the object's rectangle did not move
         c, bg = 0.3, 0.075
         obj = MovingObject(-1.0, 0.0, 1, 1, (0.0003, 0.0), 1.0, bg * math.exp(2 * c))
-        script = SceneScript((3, 1), 5000.0, Background(2.0, bg), (obj,))
+        script = SceneScript((3, 1), Background(2.0, bg), (obj,))
         camera = GuideCameraModel(contrast_threshold=c, render_rate_hz=1000.0)
         want = _full_frame_guide_events(script, camera, (0.0, 5000.0))
         assert np.count_nonzero((want.t > 2000.0) & (want.t <= 3000.0)) == 1
@@ -314,14 +318,14 @@ class TestGuideEventsMatchFullFrame:
             )
             for _ in range(data.draw(st.integers(0, 4), label="objects"))
         ]
-        script = SceneScript((w, h), 20000.0, Background(3.0, data.draw(unit), checker), tuple(objects))
+        script = SceneScript((w, h), Background(3.0, data.draw(unit), checker), tuple(objects))
         camera = GuideCameraModel(
             contrast_threshold=data.draw(st.sampled_from([0.05, 0.15, 0.3])),
             render_rate_hz=data.draw(st.sampled_from([1000.0, 700.0, 1300.0, 3000.0])),
             noise_rate_hz=data.draw(st.sampled_from([0.0, 400.0])),
         )
         t0 = data.draw(st.floats(0.0, 12000.0), label="t0")
-        t1 = min(t0 + data.draw(st.floats(200.0, 8000.0), label="length"), script.duration_us)
+        t1 = min(t0 + data.draw(st.floats(200.0, 8000.0), label="length"), 20000.0)
         seed = data.draw(st.integers(0, 2**16), label="seed")
         want = _full_frame_guide_events(script, camera, (t0, t1), seed)
         assert_same_stream(generate_guide_events(script, camera, (t0, t1), seed), want)
