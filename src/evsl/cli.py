@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: simulate, sweep-delta-t, sweep-event-rate, compare-sampling,
-active-pixels. Exit code 0 on success, 2 on configuration errors, and 1,
-with no message, when the reader closes stdout early (``evsl ... | head``).
+active-pixels. Exit code 0 on success, 2 when the input is at fault (a
+scenario value, a flag, an input file or an ``OSError``), and 1, with no
+message, when the reader closes stdout early (``evsl ... | head``). Any
+other error is a fault of the program and is raised with its traceback.
 A table's header is its first row's keys, declared in :mod:`evsl.harness`.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -37,6 +40,8 @@ def _frequencies(args) -> list[float]:
     for flag, value in (("--f-min", args.f_min), ("--f-max", args.f_max), ("--f-step", args.f_step)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite, got {value}")
+    if args.f_min <= 0:
+        raise ConfigError(f"--f-min: must be positive, got {args.f_min}")
     if args.f_step <= 0 or args.f_max < args.f_min:
         raise ConfigError("invalid frequency range: need f_min <= f_max and f_step > 0")
     if args.f_max + args.f_step == args.f_max:
@@ -100,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args):
-    """The scenario file with ``--seed``/``--periods`` in its run section, checked like the file."""
+    """The scenario file with ``--seed``/``--periods`` replacing its run values, checked as the file's are."""
     overrides = {"seed": args.seed, "periods": args.periods}
-    return load_scenario(args.scenario, {k: v for k, v in overrides.items() if v is not None})
+    return replace(load_scenario(args.scenario), **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -133,8 +138,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_active_pixels(args) -> int:
+    if args.threshold < 1:
+        raise ConfigError(f"--threshold: must be at least 1, got {args.threshold}")
     resolution = tuple(args.resolution) if args.resolution else None
-    stream = read_event_stream(args.events, resolution)
+    try:
+        stream = read_event_stream(args.events, resolution)
+    except ValueError as exc:  # the file's content (or --resolution), not the program, is at fault
+        raise ConfigError(f"{args.events}: {exc}") from None
     frame = make_event_frame(stream, (0.0, float("inf")))  # timestamps are finite and non-negative
     fraction = active_pixel_fraction(frame, args.threshold)
     print(f"active_pixel_fraction {fraction:.6g}")
@@ -150,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # as the Python docs' SIGPIPE note advises
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

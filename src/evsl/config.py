@@ -27,7 +27,7 @@ from .scene import Background, CheckerTexture, GuideCameraModel, MovingObject, S
 
 
 class ConfigError(ValueError):
-    """Scenario configuration problem; the message carries the field path."""
+    """Outside input at fault: a scenario value, CLI flag or input file; the message names the field, flag or file."""
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.geometry.proj_resolution != self.projector.resolution:
-            raise ConfigError(f"geometry.proj_resolution: differs from the projector's {self.projector.resolution}")
+        for key in ("proj_resolution", "cam_resolution"):  # the reflection camera is rectified to the projector
+            if getattr(self.geometry, key) != self.projector.resolution:
+                raise ConfigError(f"geometry.{key}: differs from the projector's {self.projector.resolution}")
         for key, value, least in (("periods", self.periods, 1), ("seed", self.seed, 0)):
             if value < least:
                 raise ConfigError(f"run.{key}: must be at least {least}")
@@ -200,6 +201,15 @@ _OBJECT = (
     },
 )
 
+_GEOMETRY = (  # the reflection camera is rectified to the projector and shares its grid
+    lambda proj_resolution, **values: SensorGeometry(proj_resolution, proj_resolution, **values),
+    {
+        "proj_resolution": (_pair(integer=True), _REQUIRED),
+        "focal_length_px": (_NUMBER, _REQUIRED),
+        "baseline_m": (_NUMBER, _DECLARED),
+    },
+)
+
 _SCENE = (SceneScript, {
     "resolution": (_pair(integer=True), _REQUIRED),
     "background": (_section(_BACKGROUND), None),
@@ -227,12 +237,7 @@ _SCENARIO = (dict, {
         "evaluate_plane": (_BOOLEAN, _DECLARED),
     })), None),
     "projector": (_section((dict, {"scan_frequency_hz": (_NUMBER, 60.0)})), None),
-    "geometry": (_section((SensorGeometry, {
-        "cam_resolution": (_pair(integer=True), _REQUIRED),
-        "proj_resolution": (_pair(integer=True), _REQUIRED),
-        "focal_length_px": (_NUMBER, _REQUIRED),
-        "baseline_m": (_NUMBER, _DECLARED),
-    })), None),
+    "geometry": (_section(_GEOMETRY), None),
     "guide_camera": (_section((GuideCameraModel, {
         "contrast_threshold": (_NUMBER, _DECLARED),
         "render_rate_hz": (_NUMBER, _DECLARED),
@@ -259,8 +264,8 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
                     guide_camera=sections["guide_camera"], name=name, **sections["run"])
 
 
-def load_scenario(path: str | os.PathLike, run_overrides: dict | None = None) -> Scenario:
-    """Load a scenario file; ``run_overrides`` replace keys of its run section before the checks."""
+def load_scenario(path: str | os.PathLike) -> Scenario:
+    """Load a scenario file; override its values with ``dataclasses.replace``, which checks them the same way."""
     p = Path(path)
     try:
         mapping = yaml.safe_load(p.read_text(encoding="utf-8"))
@@ -268,6 +273,4 @@ def load_scenario(path: str | os.PathLike, run_overrides: dict | None = None) ->
         raise ConfigError(f"{p}: invalid YAML ({exc})") from None
     if not isinstance(mapping, dict):
         raise ConfigError(f"{p}: scenario file must contain a mapping")
-    if run_overrides and isinstance(mapping.get("run"), dict):
-        mapping["run"] = {**mapping["run"], **run_overrides}
     return parse_scenario(mapping, name=p.stem)

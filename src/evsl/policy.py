@@ -204,8 +204,8 @@ def build_mask(
     scaled region are on; elsewhere the background stride applies. A pixel on
     a region border is on (region membership wins over the stride pattern).
     ``rois=None`` means no guide period yet: the event-guided policy then
-    lights every slot under ``first_period: dense`` (earlier versions gave the
-    stride; no caller used that) and, under ``sparse``, its background stride.
+    lights every slot under ``first_period: dense`` and, under ``sparse``, its
+    background stride.
     """
     w, h = proj_resolution
     guided = isinstance(policy, EventGuidedPolicy)

@@ -34,8 +34,8 @@ class SensorGeometry:
     baseline_m: float = 0.04
 
     def __post_init__(self):
+        _check_resolution(self.proj_resolution, "proj_resolution")  # first: the only grid a scenario file sets
         _check_resolution(self.cam_resolution, "cam_resolution")
-        _check_resolution(self.proj_resolution, "proj_resolution")
         if self.focal_length_px <= 0:
             raise ValueError("focal_length_px must be positive")
         if self.baseline_m <= 0:

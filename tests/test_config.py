@@ -1,7 +1,9 @@
 """The table-driven scenario parser against the hand-written one it replaced.
 
 The old parser (``_Section`` and the ``_parse_*`` functions, with its
-``parse_scenario``) is kept below verbatim as the oracle. Every base config
+``parse_scenario``) is kept below as the oracle, verbatim but for one schema
+change: it reads no ``geometry.cam_resolution``, as the reflection camera
+takes the projector's grid. Every base config
 (``MINIMAL_CONFIG`` and the bundled scenarios) is parsed with one fault at a
 time: each key the parser knows removed or set to a value of the wrong type,
 range or shape, one unknown key per section, and sections set to non-mappings.
@@ -235,9 +237,10 @@ def parse_scenario(mapping: dict, name: str = "scenario") -> Scenario:
 
     geo = root.child("geometry")
     try:
+        proj_resolution = geo.take_pair("proj_resolution", integer=True)
         geometry = SensorGeometry(
-            cam_resolution=geo.take_pair("cam_resolution", integer=True),
-            proj_resolution=geo.take_pair("proj_resolution", integer=True),
+            cam_resolution=proj_resolution,
+            proj_resolution=proj_resolution,
             focal_length_px=geo.take_number("focal_length_px", minimum=0, exclusive=True),
             baseline_m=geo.take_number("baseline_m", 0.04, minimum=0, exclusive=True),
         )
@@ -319,7 +322,7 @@ KNOWN_KEYS = {
     (): ("run", "projector", "geometry", "guide_camera", "noise", "policy", "scene"),
     ("run",): ("periods", "seed", "evaluate_plane"),
     ("projector",): ("scan_frequency_hz",),
-    ("geometry",): ("cam_resolution", "proj_resolution", "focal_length_px", "baseline_m"),
+    ("geometry",): ("proj_resolution", "focal_length_px", "baseline_m"),
     ("guide_camera",): ("contrast_threshold", "render_rate_hz", "noise_rate_hz"),
     ("noise",): ("jitter_anchors", "drop_probability", "quantization_us"),
     ("policy",): ("kind", "stride", "grid", "median_kernel_px", "active_threshold", "min_area_px",

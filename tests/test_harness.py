@@ -69,7 +69,6 @@ def scenario_yaml(tmp_path, **overrides):
               depth_m: 1.9995
               intensity: 0.95
         geometry:
-          cam_resolution: [64, 48]
           proj_resolution: [64, 48]
           focal_length_px: 600.0
           baseline_m: 0.04
@@ -101,7 +100,7 @@ MINIMAL_CONFIG = {
         "background": {"depth_m": 2.0},
         "objects": [{"rect_px": [1, 1, 2, 2], "depth_m": 1.0}],
     },
-    "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": 10.0},
+    "geometry": {"proj_resolution": [8, 8], "focal_length_px": 10.0},
     "projector": {"scan_frequency_hz": 60.0},
     "noise": {},
     "policy": {"kind": "dense"},
@@ -135,7 +134,7 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=r"policy\.striide"):
             parse_scenario({
                 "scene": {"resolution": [8, 8], "background": {"depth_m": 2.0}},
-                "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": 10.0},
+                "geometry": {"proj_resolution": [8, 8], "focal_length_px": 10.0},
                 "projector": {"scan_frequency_hz": 60.0},
                 "policy": {"kind": "sparse", "striide": 4},
                 "run": {"periods": 1},
@@ -145,7 +144,7 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=r"^geometry: focal_length_px must be positive$"):
             parse_scenario({
                 "scene": {"resolution": [8, 8], "background": {"depth_m": 2.0}},
-                "geometry": {"cam_resolution": [8, 8], "proj_resolution": [8, 8], "focal_length_px": -1.0},
+                "geometry": {"proj_resolution": [8, 8], "focal_length_px": -1.0},
                 "projector": {"scan_frequency_hz": 60.0},
                 "policy": {"kind": "dense"},
                 "run": {"periods": 1},
@@ -167,6 +166,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("noise", "latency_us", 0.0), ("scene", "duration_us", 50000.0), ("run", "out_dir", "out"),
+        ("geometry", "cam_resolution", [64, 48]),
     ])
     def test_removed_key_is_unknown(self, tmp_path, section, key, value):
         scenario = scenario_yaml(tmp_path, **{section: {key: value}})
@@ -185,9 +185,9 @@ class TestScenarioConfig:
         (("scene", "objects", 0, "rect_px"), [1, 1, 0, 3], "scene.objects[0]: object width/height must be >= 1"),
         (("scene", "objects", 0, "rect_px"), [1, 1, 2.7, 3], RECT_MESSAGE + "[1, 1, 2.7, 3]"),
         (("scene", "objects", 0, "rect_px"), [1, 1, 2], "scene.objects[0].rect_px: expected [x0, y0, width, height]"),
-        (("geometry", "cam_resolution"), [0, 8], "geometry: invalid cam_resolution (0, 8)"),
-        (("geometry", "cam_resolution"), [64.9, 48], "geometry.cam_resolution: expected integer pair, got [64.9, 48]"),
-        (("geometry", "cam_resolution"), [True, 48], "geometry.cam_resolution: expected integer pair, got [True, 48]"),
+        (("geometry", "proj_resolution"), [0, 8], "geometry: invalid proj_resolution (0, 8)"),
+        (("geometry", "proj_resolution"), [64.9, 48], "geometry.proj_resolution: expected integer pair, got [64.9, 48]"),
+        (("geometry", "proj_resolution"), [True, 48], "geometry.proj_resolution: expected integer pair, got [True, 48]"),
         (("scene", "resolution"), [0, 8], "scene: invalid resolution (0, 8)"),
         (("noise", "jitter_anchors"), [["a", 1]], "noise.jitter_anchors[0]: expected [rate_mev_s, std_us]"),
         (("policy",), {"kind": "sparse", "stride": 0}, "policy: stride must be >= 1"),
@@ -273,6 +273,11 @@ class TestScenarioConfig:
             replace(sc, projector=evsl.ProjectorModel((32, 24), 60.0))
         with pytest.raises(ConfigError, match="geometry.proj_resolution"):
             replace(sc, geometry=replace(sc.geometry, proj_resolution=(32, 24)))
+        # the reflection camera is rectified to the projector: an unlike grid would decode only a crop
+        message = r"^geometry\.cam_resolution: differs from the projector's \(64, 48\)$"
+        for grid in ((32, 24), (128, 96)):
+            with pytest.raises(ConfigError, match=message):
+                replace(sc, geometry=replace(sc.geometry, cam_resolution=grid))
 
     def test_scenario_owns_run_bounds(self):
         sc = tiny_scenario()
@@ -301,7 +306,7 @@ class TestScenarioConfig:
             "scene": {"resolution": block["scene"]["resolution"],
                       "background": {"depth_m": block["scene"]["background"]["depth_m"]}},
             "geometry": {key: block["geometry"][key]
-                         for key in ("cam_resolution", "proj_resolution", "focal_length_px")},
+                         for key in ("proj_resolution", "focal_length_px")},
             "projector": {},
             "policy": {"kind": block["policy"]["kind"]},
             "run": {},
@@ -781,7 +786,7 @@ class TestCli:
         # the header is the first row's keys in order, and every value of every row reaches stdout and the file
         if command == "compare-sampling":
             path = scenario_yaml(tmp_path)
-            rows = compare_sampling(load_scenario(path, {"periods": 2}))
+            rows = compare_sampling(replace(load_scenario(path), periods=2))
             args, target = [str(path), "--periods", "2"], tmp_path / "out" / "compare_sampling.csv"
             to_file = [*args, "--out-dir", str(target.parent)]
         else:
@@ -880,3 +885,37 @@ class TestCli:
         assert capsys.readouterr().err == "error: run.seed: must be at least 0\n"
         assert cli_main([command, str(path), "--periods", "0"]) == 2
         assert capsys.readouterr().err == "error: run.periods: must be at least 1\n"
+
+    @pytest.mark.parametrize("run, flag, message", [
+        ({"periods": 0}, ["--periods", "3"], "run.periods: must be at least 1"),
+        ({"seed": -1}, ["--seed", "1"], "run.seed: must be at least 0"),
+    ], ids=["periods", "seed"])
+    def test_override_does_not_rescue_an_invalid_file(self, tmp_path, capsys, run, flag, message):
+        # the file is checked as written; the flag then replaces the loaded value and is checked the same way
+        path = scenario_yaml(tmp_path, run=run)
+        assert cli_main(["simulate", str(path), "--out-dir", str(tmp_path / "out"), *flag]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_program_error_is_raised_not_reported_as_input(self, tmp_path, monkeypatch):
+        # exit 2 is for input at fault; a ValueError inside a stage is a fault of the program and keeps its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("broken stage")
+
+        monkeypatch.setattr(harness, "reconstruct_depth", broken)
+        with pytest.raises(ValueError, match="broken stage"):
+            cli_main(["simulate", str(scenario_yaml(tmp_path)), "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["sweep-delta-t", "sweep-event-rate"])
+    @pytest.mark.parametrize("value", ["0", "-10"])
+    def test_non_positive_f_min_names_the_flag(self, capsys, command, value):
+        # a raster scanned at 0 Hz has no dwell time or event rate: the sweep refuses the flag itself
+        assert cli_main([command, "--f-min", value, "--f-max", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --f-min: must be positive, got {float(value)}\n"
+        assert captured.out == ""
+
+    def test_active_pixels_threshold_below_one_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "ev.txt"
+        path.write_text("t_us,x,y,p\n1.0,3,4,1\n")
+        assert cli_main(["active-pixels", str(path), "--threshold", "0"]) == 2
+        assert capsys.readouterr().err == "error: --threshold: must be at least 1, got 0\n"
