@@ -222,30 +222,43 @@ class DepthMap:
         return int(np.count_nonzero(self.valid))
 
 
-def _window_pixels(stream: EventStream, window: tuple[float, float]):
-    """Flat ``y * W + x`` indices and timestamps (a view) of the events in [t_start, t_end), and the float window."""
+def _float_window(window: tuple[float, float]) -> tuple[float, float]:
+    """The half-open window ``(t_start, t_end)`` as floats; one that ends before it starts, or at NaN, is rejected."""
     t0, t1 = window
-    if t1 < t0:
+    if not t0 <= t1:
         raise ValueError(f"invalid window ({t0}, {t1})")
-    i0, i1 = stream.window_indices(t0, t1)
-    flat = stream.y[i0:i1].astype(np.intp) * stream.resolution[0] + stream.x[i0:i1]
-    return flat, stream.t[i0:i1], (float(t0), float(t1))
+    return float(t0), float(t1)
 
 
 def make_event_frame(stream: EventStream, window: tuple[float, float]) -> EventFrame:
     """Count events per pixel over [t_start, t_end)."""
     w, h = stream.resolution
-    flat, _, window = _window_pixels(stream, window)
+    window = _float_window(window)
+    i0, i1 = stream.window_indices(*window)
+    flat = stream.y[i0:i1].astype(np.intp) * w + stream.x[i0:i1]
     return EventFrame(stream.resolution, np.bincount(flat, minlength=w * h).reshape(h, w), window)
 
 
-def make_time_surface(stream: EventStream, window: tuple[float, float]) -> TimeSurface:
-    """Keep, per pixel, the latest event timestamp within [t_start, t_end)."""
-    w, h = stream.resolution
-    flat, t, window = _window_pixels(stream, window)
+def make_time_surface(events, window: tuple[float, float]) -> TimeSurface:
+    """Keep, per pixel, the latest event timestamp within [t_start, t_end), of events in any order.
+
+    Only ``events.resolution``, ``t``, ``x`` and ``y`` are read, so an
+    :class:`EventStream` and the projector's fire-order ``ReflectionEvents``
+    both serve. The window is a mask over ``t``, not a search of sorted
+    times: an event outside it takes a NaN time, which ``fmax`` passes over.
+    The maximum per pixel does not depend on the events' order. The cost
+    grows with ``len(events)``, not with the number of events in the window.
+    """
+    w, h = events.resolution
+    t0, t1 = window = _float_window(window)
+    t = events.t
+    inside = t >= t0
+    inside &= t < t1
+    if not inside.all():
+        t = np.where(inside, t, np.nan)
     last = np.full(w * h, np.nan)
-    np.fmax.at(last, flat, t)
-    return TimeSurface(stream.resolution, last.reshape(h, w), window)
+    np.fmax.at(last, events.y.astype(np.intp) * w + events.x, t)
+    return TimeSurface(events.resolution, last.reshape(h, w), window)
 
 
 def make_voxel_grid(stream: EventStream, window: tuple[float, float], bins: int = 5) -> VoxelGrid:

@@ -12,7 +12,9 @@ the rows returned here; every run mean covers :func:`steady_periods`.
 A period has a policy-independent guide stage (:func:`_guide_period`) and a
 period stage (:func:`run_period`, mask to plane fit). With ``parallel=True`` a
 2-worker thread pool runs the guide stage of every period, then whole periods;
-the output is byte-identical to the serial path.
+the output is byte-identical to the serial path. The decode needs only each
+camera pixel's latest timestamp, so reflection events stay in fire order; only
+the ``events`` dump sorts them by time, once per period it writes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .policy import (
     active_pixel_fraction, build_mask, detect_roi, median_filter_frame,
 )
 from .projector import (
-    SENSOR_PRESETS, build_scan_plan, pixel_dwell_time, raster_event_rate, simulate_reflection_events,
+    SENSOR_PRESETS, ReflectionEvents, build_scan_plan, pixel_dwell_time, raster_event_rate,
+    simulate_reflection_events,
 )
 from .scene import generate_guide_events, render_scene
 
@@ -82,11 +85,11 @@ def _resample_depth(depth_map: DepthMap, resolution: tuple[int, int]) -> DepthMa
 
 @dataclass(frozen=True)
 class PeriodResult:
-    """What the reports and dumps use of one period's stage outputs."""
+    """What the reports and dumps use of one period's stage outputs; ``reflection`` is in fire order."""
 
     report: PeriodReport
     mask: IlluminationMask
-    reflection: EventStream
+    reflection: ReflectionEvents
     depth: DepthMap
 
 
@@ -133,7 +136,9 @@ def run_period(
     """Period ``p`` of ``scenario``'s rig under each of ``policies``, rendered once at mid-period.
 
     Each policy runs mask, scan plan and reflection, then, with the render
-    freed, time surface, decode and plane fit. ``guide`` and ``active`` come
+    freed, time surface, decode and plane fit. The reflection events stay in
+    fire order: the time surface takes them in any order, and nothing here
+    sorts them. ``guide`` and ``active`` come
     from this period's guide stage, ``prev_rois`` from the previous one's.
     Each tally must account for every firing and every camera pixel, and the
     decode's valid count for its map; a tally that does not is a programming
@@ -220,10 +225,11 @@ def run_scenario(
     """Run every scan period and return one report each.
 
     ``dump`` may contain any of :data:`DUMP_KINDS`; artifacts land in
-    ``out_dir``, in period order, with periods.csv. Nothing is written when
-    ``out_dir`` is None. With ``parallel=True`` a 2-worker thread pool runs the
-    guide stage of every period and then whole periods; outputs are identical
-    either way.
+    ``out_dir``, in period order, with periods.csv; an ``events`` dump sorts
+    each period's reflection events by time, which no other run does. Nothing
+    is written when ``out_dir`` is None. With ``parallel=True`` a 2-worker
+    thread pool runs the guide stage of every period and then whole periods;
+    outputs are identical either way.
     """
     dump = frozenset(dump)
     if unknown := dump - set(DUMP_KINDS):
@@ -240,7 +246,7 @@ def run_scenario(
         tag = f"p{p:03d}"
         if "events" in dump:
             write_event_stream(guide, out_path / f"guide_{tag}.txt")
-            write_event_stream(result.reflection, out_path / f"reflect_{tag}.txt")
+            write_event_stream(result.reflection.time_sorted(), out_path / f"reflect_{tag}.txt")
         if "masks" in dump:
             write_pbm(out_path / f"mask_{tag}.pbm", result.mask)
         if "depth" in dump:

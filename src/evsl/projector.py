@@ -242,6 +242,64 @@ def _keyed_normals(h: np.ndarray) -> np.ndarray:
     return r
 
 
+@dataclass(frozen=True)
+class ReflectionEvents:
+    """A period's reflection events in fire order: the raster order of the firings that land.
+
+    Timestamps are quantized but not sorted, so ``t`` may step back where
+    jitter reorders neighbouring firings. The time surface needs no order;
+    :meth:`time_sorted` gives the :class:`EventStream` a dump writes. The value
+    takes its arrays over and marks them read-only, like the stream.
+    """
+
+    resolution: tuple[int, int]
+    t: np.ndarray  # float64 microseconds, n * quantization_us for integer ticks n when quantized
+    x: np.ndarray  # int32
+    y: np.ndarray  # int32
+    quantization_us: float
+
+    def __post_init__(self):
+        for name, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def time_sorted(self) -> EventStream:
+        """The events stably sorted by time, by integer clock tick when quantized, as an :class:`EventStream`.
+
+        When quantized, the ticks come back as n = ``rint(t / q)``: exactly n,
+        for ticks below 2**51, since ``t`` is n * q rounded once. Ticks keep
+        the order of their times n * q; when a period's ticks span at most
+        0xFFFF, a uint16 key n - min(n) makes the stable sort a radix sort.
+        The float ticks are freed before the sort, and the sorted ticks rebuilt
+        as ``key[order] + min(n)``, exactly, since both are integers. The sort
+        order permutes the columns and rows and is freed before the stream is
+        built.
+        """
+        q = self.quantization_us
+        t = self.t
+        tick_key = False
+        if q > 0:
+            t = t / q
+            np.rint(t, out=t)
+            lo = t.min(initial=np.inf)
+            tick_key = t.max(initial=0.0) - lo <= 0xFFFF
+            if tick_key:
+                t -= lo
+                t = t.astype(np.uint16)  # the sort key; the float ticks are freed before the sort
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        x = self.x[order]
+        y = self.y[order]
+        del order
+        if tick_key:
+            t = t + lo  # the sorted ticks n, exactly: integers that add without rounding
+        if q > 0:
+            t *= q
+        return EventStream(self.resolution, t, x, y, np.ones(len(t), np.int8))
+
+
 def simulate_reflection_events(
     plan: ScanPlan,
     scene_depth: DepthMap,
@@ -249,7 +307,7 @@ def simulate_reflection_events(
     noise: NoiseModel,
     sequence: int = 0,
     seed: int = 0,
-) -> tuple[EventStream, dict[str, int]]:
+) -> tuple[ReflectionEvents, dict[str, int]]:
     """Simulate the reflection camera's events for one scan plan.
 
     ``scene_depth`` must be sampled on the projector grid at scan time. Each
@@ -269,21 +327,19 @@ def simulate_reflection_events(
     of the times, and its drop draws, written to its slice of one keep mask;
     the landing set is compressed by that mask once, after the last block.
     A landing set within one block runs the unblocked computation. Geometry,
-    quantization, the one stable sort (by integer clock tick when quantized,
-    their time order, else by time) and the gathers run on whole arrays.
-    The geometry and the noise chain work in place on the arrays they own, and
-    the draws per firing are the same as computing each step in a new array.
+    noise and quantization run on whole arrays, in place on the arrays they
+    own, and the draws per firing are the same as computing each step in a
+    new array.
 
     Each array is freed once nothing later reads it, so a dense period holds
     little more than its landing set: the camera columns of the landing
     firings are gathered, as int32, and the fired-size arrays freed before the
-    draws; the rows are gathered and the landing indices freed after them. On
-    the tick-key path the float ticks are freed before the sort, and the
-    sorted ticks are rebuilt as ``key[order] + min(n)``, exactly, since both
-    are integers. The sort order permutes the columns and rows and is freed
-    before the stream is built.
+    draws; the rows are gathered and the landing indices freed after them.
 
-    Returns the time-sorted stream and a tally of discarded firings.
+    The events are returned unsorted, in fire order (the raster order of the
+    landing firings), as :class:`ReflectionEvents`; its ``time_sorted()``
+    gives them as a time-sorted :class:`EventStream`. The tally counts the
+    discarded firings.
     """
     if scene_depth.resolution != plan.resolution:
         raise ValueError(
@@ -322,33 +378,20 @@ def simulate_reflection_events(
                 t[i:j] += sigma * _keyed_normals(h)
             if drops:
                 np.greater_equal(_keyed_uniforms(h, stream=3), noise.drop_probability, out=kept[i:j])
-            del h  # freed before the next block's hash and before the sort
+            del h  # freed before the next block's hash
         if drops:
             landed, t, x = landed[kept], t[kept], x[kept]
     y = plan.rows[landed]
     del landed
-    if noise.quantization_us > 0:
-        # t becomes the tick n = max(floor(t / q + 0.5), 0); n * q keeps the order of
-        # distinct ticks, and a uint16 key n - min(n) makes the stable sort a radix sort
-        t /= noise.quantization_us
+    q = noise.quantization_us
+    if q > 0:  # t becomes the clock tick n = max(floor(t / q + 0.5), 0)
+        t /= q
         t += 0.5
         np.floor(t, out=t)
     np.maximum(t, 0.0, out=t)
-    lo = t.min(initial=np.inf)
-    tick_key = noise.quantization_us > 0 and t.max(initial=0.0) - lo <= 0xFFFF
-    if tick_key:
-        t -= lo
-        t = t.astype(np.uint16)  # the sort key; the float ticks are freed before the sort
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    x = x[order]
-    y = y[order]
-    del order
-    if tick_key:
-        t = t + lo  # the sorted ticks n, exactly: integers that add without rounding
-    if noise.quantization_us > 0:
-        t *= noise.quantization_us
 
     tally = {"fired": len(plan), "emitted": len(t), "invalid_depth": invalid_depth,
              "out_of_frame": len(plan) - invalid_depth - n_landed, "dropped": n_landed - len(t)}
-    return EventStream(geometry.cam_resolution, t, x, y, np.ones(len(t), np.int8)), tally
+    if q > 0:
+        t *= q
+    return ReflectionEvents(geometry.cam_resolution, t, x, y, q), tally

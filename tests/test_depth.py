@@ -674,7 +674,11 @@ class TestBundledPeriodsMatchParentBodies:
             frame = make_event_frame(guide, _window(rig, p))
             assert active_pixel_fraction(frame) == _summed_active_pixel_fraction(frame)
             for result in results:
-                test_events.TestSurfaceMatchesParent.check(result.reflection, _window(rig, p))
+                stream, window = result.reflection.time_sorted(), _window(rig, p)
+                test_events.TestSurfaceMatchesParent.check(stream, window)
+                # the fire-order events the harness decodes give the sorted stream's surface
+                assert_same_bytes(make_time_surface(result.reflection, window).last_t,
+                                  make_time_surface(stream, window).last_t, "last_t")
                 assert result.mask.fraction == _summed_mask_fraction(result.mask)
                 assert result.depth.valid_count == _summed_valid_count(result.depth)
                 cloud = depth_to_points(result.depth, rig.geometry)

@@ -237,9 +237,12 @@ class TestEventFrame:
         frame = make_event_frame(s, (1.0, 2.0))
         assert frame.counts.sum() == 1
 
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            make_event_frame(EventStream.empty((4, 4)), (5.0, 1.0))
+    @pytest.mark.parametrize("make", [make_event_frame, make_time_surface])
+    @pytest.mark.parametrize("window", [(5.0, 1.0), (0.0, np.nan), (np.nan, 1.0)])
+    def test_invalid_window_rejected(self, make, window):
+        # a NaN end would hold every event under a search of sorted times and none under a mask
+        with pytest.raises(ValueError, match="invalid window"):
+            make(EventStream((4, 4), [0.5], [0], [0], [1]), window)
 
     @pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5, 1), (15,)])
     def test_counts_not_of_shape_height_width_rejected(self, shape):

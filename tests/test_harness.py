@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from evsl import harness
 from evsl.cli import main as cli_main
 from evsl.events import DepthMap, EventStream
 from evsl.formats import format_cell
-from evsl.projector import SENSOR_PRESETS
+from evsl.projector import SENSOR_PRESETS, ReflectionEvents
 from evsl.harness import (
     DUMP_KINDS,
     PERIOD_CSV_HEADER,
@@ -413,8 +414,8 @@ class TestRunScenario:
         real = harness.simulate_reflection_events
 
         def one_event_short(*args, **kwargs):
-            stream, tally = real(*args, **kwargs)
-            return EventStream(stream.resolution, stream.t[1:], stream.x[1:], stream.y[1:], stream.p[1:]), tally
+            events, tally = real(*args, **kwargs)
+            return replace(events, t=events.t[1:], x=events.x[1:], y=events.y[1:]), tally
 
         monkeypatch.setattr(harness, "simulate_reflection_events", one_event_short)
         with pytest.raises(RuntimeError, match="reflection tally"):
@@ -692,6 +693,42 @@ class TestCompareSampling:
         sc = tiny_scenario(noise=evsl.NoiseModel())
         assert compare_sampling(sc, parallel=True) == compare_sampling(sc)
         assert len(pools) == 1
+
+
+class TestOnlyAnEventsDumpSorts:
+    """The decode takes reflection events in fire order: only an ``events`` dump sorts them, once per
+    period, and each period still calls the benchmark's reflection and time-surface hooks once per policy."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []  # appends are atomic, so the pool's threads need no lock
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ReflectionEvents, "time_sorted", counting("time_sorted", ReflectionEvents.time_sorted))
+        for name in ("simulate_reflection_events", "make_time_surface"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        return calls
+
+    @pytest.mark.parametrize("run, policies, sorts", [
+        (lambda sc, out: run_scenario(sc), 1, 0),
+        (lambda sc, out: run_scenario(sc, parallel=True), 1, 0),
+        (lambda sc, out: run_scenario(sc, dump=("masks", "depth", "ply"), out_dir=out), 1, 0),
+        (lambda sc, out: run_scenario(sc, parallel=True, dump=("events",), out_dir=out), 1, 1),
+        (lambda sc, out: run_scenario(sc, dump=DUMP_KINDS, out_dir=out), 1, 1),
+        (lambda sc, out: compare_sampling(sc), 3, 0),
+        (lambda sc, out: compare_sampling(sc, parallel=True), 3, 0),
+    ], ids=["serial", "parallel", "dump-no-events", "dump-events-parallel", "dump-all", "compare", "compare-parallel"])
+    def test_calls_per_period(self, calls, tmp_path, run, policies, sorts):
+        sc = tiny_scenario(noise=evsl.NoiseModel())
+        run(sc, tmp_path)
+        assert Counter(calls) == Counter({"simulate_reflection_events": policies * sc.periods,
+                                          "make_time_surface": policies * sc.periods,
+                                          "time_sorted": sorts * sc.periods})
 
 
 class TestSweeps:

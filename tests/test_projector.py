@@ -16,6 +16,7 @@ from evsl.projector import (
     DEFAULT_JITTER_ANCHORS,
     NoiseModel,
     ProjectorModel,
+    ReflectionEvents,
     SENSOR_PRESETS,
     ScanPlan,
     SensorGeometry,
@@ -32,6 +33,7 @@ from evsl.projector import (
     timestamp_jitter_std,
 )
 from evsl.scene import render_scene
+from test_events import _parent_make_time_surface
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -318,7 +320,9 @@ class TestSimulateReflection:
     def test_timestamps_sorted_under_jitter(self):
         geom, proj, depth = plane_setup()
         plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 0.0)
-        stream, _ = simulate_reflection_events(plan, depth, geom, NoiseModel(), sequence=2, seed=1)
+        events, _ = simulate_reflection_events(plan, depth, geom, NoiseModel(), sequence=2, seed=1)
+        assert np.any(np.diff(events.t) < 0)  # jitter reorders neighbouring firings in fire order
+        stream = events.time_sorted()
         assert np.all(np.diff(stream.t) >= 0)
         assert np.all(stream.t >= 0)
 
@@ -507,12 +511,36 @@ class TestReflectionMatchesOracle:
         with mock.patch.object(projector, "_NOISE_BLOCK", block):
             assert_matches_oracle(plan, depth, geom, NoiseModel(drop_probability=0.1), 2, 4)
 
+    @pytest.mark.parametrize("quantization_us", [0.1, 0.3])
+    def test_dense_period_on_an_inexact_clock(self, quantization_us):
+        # n * q / q misses n by an ulp for some ticks: the sort rounds the ticks back. A dense 64x48
+        # period at 60 Hz spans 166,667 ticks of 0.1 us, past the uint16 key, and 55,556 of 0.3 us
+        geom, proj, depth = plane_setup()
+        plan = build_scan_plan(proj, build_mask(DensePolicy(), (64, 48)), 1000.0)
+        assert_matches_oracle(plan, depth, geom, NoiseModel(quantization_us=quantization_us), 2, 4)
+
 
 def assert_matches_oracle(plan, depth, geometry, noise, sequence, seed):
     got, got_tally = simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
     want, want_tally = oracle_simulate_reflection_events(plan, depth, geometry, noise, sequence, seed)
     assert list(got_tally.items()) == list(want_tally.items())
-    assert_same_stream(got, want)
+    assert_fire_order_sorts_to(got, want, plan)
+
+
+def assert_fire_order_sorts_to(events, want, plan):
+    """``events`` are in fire order, sort to the stream ``want`` and give its time surfaces."""
+    assert isinstance(events, ReflectionEvents)
+    assert np.all(events.y[1:] >= events.y[:-1])  # the raster order of the landing firings: rows first
+    assert_same_stream(events.time_sorted(), want)
+    t = want.t
+    windows = [(plan.t0_us, plan.t0_us + plan.period_us), (0.0, 0.0)]
+    if len(t):  # ends on event times: events before the start and at or after the end fall outside
+        n = len(t)
+        windows += [(t[n // 4], t[3 * n // 4]), (t[0], t[-1]), (t[n // 2], t[n // 2])]
+    for window in windows:  # as the sorted stream's surface under the parent's search of its sorted times
+        a, b = make_time_surface(events, window), _parent_make_time_surface(want, window)
+        assert a.window == b.window, window
+        assert a.last_t.tobytes() == b.last_t.tobytes(), window
 
 
 def _parent_simulate_reflection_events(
@@ -594,7 +622,7 @@ def test_blocked_noise_matches_parent_on_dense_bundled_period(moving_object_peri
     want, want_tally = _parent_simulate_reflection_events(plan, depth, sc.geometry, noise, 0, sc.seed)
     assert got_tally["emitted"] + got_tally["dropped"] > 9 * projector._NOISE_BLOCK  # ten blocks of landing keys
     assert list(got_tally.items()) == list(want_tally.items())
-    assert_same_stream(got, want)
+    assert_fire_order_sorts_to(got, want, plan)  # jitter reorders neighbouring firings, on the uint16 tick key
 
 
 def peak_above_entry(fn, *args):
@@ -612,11 +640,15 @@ def test_dense_bundled_period_peak_memory(moving_object_period_0):
     # each fired-size array is freed once nothing reads it, and the decode runs in blocks: about 25 and
     # 23 bytes, where whole-array passes held about 51 per fired slot and 52 per camera pixel
     sc, plan, depth = moving_object_period_0
-    (stream, _), reflect_peak = peak_above_entry(
+    (events, _), reflect_peak = peak_above_entry(
         simulate_reflection_events, plan, depth, sc.geometry, sc.noise, 0, sc.seed)
     assert reflect_peak <= 32 * len(plan)
+    # the sort frees the float ticks before it sorts the uint16 key: about 19 bytes per event, with
+    # the 17 of the stream it returns
+    _, sort_peak = peak_above_entry(events.time_sorted)
+    assert sort_peak <= 24 * len(events)
     w0, w1 = harness._window(sc, 0)
-    surface = make_time_surface(stream, (w0, w1))
+    surface = make_time_surface(events, (w0, w1))
     _, decode_peak = peak_above_entry(reconstruct_depth, surface, sc.geometry, sc.projector, w0)
     assert decode_peak <= 32 * surface.last_t.size
 
